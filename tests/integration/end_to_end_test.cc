@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/os.h"
 #include "core/ground_truth.h"
@@ -289,13 +290,36 @@ struct GoldenMatch {
   const char* similarity;  // printf "%.6f" of the returned similarity.
 };
 
+/// One QueryCosts row of counters pinned per method.
+struct GoldenCosts {
+  uint64_t pages;             // QueryCosts::page_accesses.
+  uint64_t candidates;        // Leaf records scanned (with repeats).
+  uint64_t range_searches;    // Range searches issued.
+  uint64_t similarity_evals;  // ViTri-pair similarity computations.
+};
+
 struct GoldenQuery {
-  uint64_t composed_pages;   // QueryCosts::page_accesses, kComposed.
-  uint64_t naive_pages;      // QueryCosts::page_accesses, kNaive.
-  uint64_t candidates;       // Leaf records scanned, kComposed.
-  uint64_t range_searches;   // Range searches issued, kComposed.
+  GoldenCosts composed;              // KnnMethod::kComposed.
+  GoldenCosts naive;                 // KnnMethod::kNaive.
   std::vector<GoldenMatch> matches;  // Top-5, rank order, kComposed.
 };
+
+void PrintGoldenCosts(const QueryCosts& c, const char* trailer) {
+  std::printf("{%llu, %llu, %llu, %llu}%s",
+              static_cast<unsigned long long>(c.page_accesses),
+              static_cast<unsigned long long>(c.candidates),
+              static_cast<unsigned long long>(c.range_searches),
+              static_cast<unsigned long long>(c.similarity_evals), trailer);
+}
+
+void ExpectGoldenCosts(const QueryCosts& actual, const GoldenCosts& golden,
+                       const std::string& where) {
+  EXPECT_EQ(actual.page_accesses, golden.pages) << where;
+  EXPECT_EQ(actual.candidates, golden.candidates) << where;
+  EXPECT_EQ(actual.range_searches, golden.range_searches) << where;
+  EXPECT_EQ(actual.similarity_evals, golden.similarity_evals) << where;
+  EXPECT_FALSE(actual.degraded) << where;
+}
 
 std::string FormatSimilarity(double value) {
   char buf[32];
@@ -306,21 +330,21 @@ std::string FormatSimilarity(double value) {
 TEST_F(EndToEndTest, GoldenKnnResultsAndIoCostsArePinned) {
   const std::vector<GoldenQuery> kGolden = {
       // Query 0: near-duplicate of video 0.
-      {31, 389, 174, 1,
+      {{31, 174, 1, 2221}, {389, 2221, 13, 2221},
        {{0, "0.019070"},
         {1, "0.006509"},
         {6, "0.002426"},
         {3, "0.000871"},
         {13, "0.000021"}}},
       // Query 1: near-duplicate of video 3.
-      {40, 283, 233, 1,
+      {{40, 233, 1, 1554}, {283, 1554, 14, 1554},
        {{0, "0.029671"},
         {17, "0.015957"},
         {3, "0.014593"},
         {6, "0.009035"},
         {2, "0.001289"}}},
       // Query 2: near-duplicate of video 9.
-      {38, 248, 216, 1,
+      {{38, 216, 1, 1352}, {248, 1352, 12, 1352},
        {{9, "0.083408"},
         {20, "0.016852"},
         {5, "0.008899"},
@@ -352,15 +376,9 @@ TEST_F(EndToEndTest, GoldenKnnResultsAndIoCostsArePinned) {
     if (regen) {
       std::printf("      // Query %zu: near-duplicate of video %u.\n",
                   q, sources_[q]);
-      std::printf("      {%llu, %llu, %llu, %llu,\n",
-                  static_cast<unsigned long long>(
-                      composed_costs.page_accesses),
-                  static_cast<unsigned long long>(
-                      naive_costs.page_accesses),
-                  static_cast<unsigned long long>(
-                      composed_costs.candidates),
-                  static_cast<unsigned long long>(
-                      composed_costs.range_searches));
+      std::printf("      {");
+      PrintGoldenCosts(composed_costs, ", ");
+      PrintGoldenCosts(naive_costs, ",\n");
       for (size_t i = 0; i < composed->size(); ++i) {
         std::printf("       %s{%u, \"%s\"}%s\n", i == 0 ? "{" : " ",
                     (*composed)[i].video_id,
@@ -371,15 +389,10 @@ TEST_F(EndToEndTest, GoldenKnnResultsAndIoCostsArePinned) {
     }
 
     const GoldenQuery& golden = kGolden[q];
-    EXPECT_EQ(composed_costs.page_accesses, golden.composed_pages)
-        << "query " << q;
-    EXPECT_EQ(naive_costs.page_accesses, golden.naive_pages)
-        << "query " << q;
-    EXPECT_EQ(composed_costs.candidates, golden.candidates)
-        << "query " << q;
-    EXPECT_EQ(composed_costs.range_searches, golden.range_searches)
-        << "query " << q;
-    EXPECT_FALSE(composed_costs.degraded) << "query " << q;
+    ExpectGoldenCosts(composed_costs, golden.composed,
+                      "query " + std::to_string(q) + " composed");
+    ExpectGoldenCosts(naive_costs, golden.naive,
+                      "query " + std::to_string(q) + " naive");
 
     ASSERT_EQ(composed->size(), golden.matches.size()) << "query " << q;
     for (size_t i = 0; i < golden.matches.size(); ++i) {
