@@ -19,13 +19,7 @@ std::vector<VideoMatch> ExactKnn(const video::VideoDatabase& db,
     // method that pads its own tail the same way.
     if (sim > 0.0) matches.push_back(VideoMatch{v.id, sim});
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
+  KeepTopK(&matches, k);
   return matches;
 }
 

@@ -30,16 +30,68 @@ using storage::MemPager;
 
 namespace {
 
-// Contiguous copy of the query summary's ViTri positions, so the
-// full-evaluation refinement paths can compute every candidate-to-query
-// center distance with one batch-kernel call per candidate.
-linalg::FrameMatrix QueryPositionMatrix(const std::vector<ViTri>& query) {
-  linalg::FrameMatrix m;
-  for (const ViTri& q : query) m.AppendRow(q.position);
-  return m;
+// Adds one candidate's estimated shared (or matching) frames to its
+// video's slot of a dense accumulator.
+void Accumulate(const ViTri& candidate, double estimate,
+                std::vector<double>* acc) {
+  if (estimate > 0.0 && candidate.video_id < acc->size()) {
+    (*acc)[candidate.video_id] += estimate;
+  }
 }
 
+// Full evaluation, shared by the sequential scan and the degraded
+// in-memory path: every candidate against every query ViTri, with the
+// candidate-to-query center distances from one batch-kernel sweep over
+// a contiguous copy of the query positions.
+class FullEvaluator {
+ public:
+  explicit FullEvaluator(const std::vector<ViTri>& query)
+      : query_(query), d2_(query.size()) {
+    for (const ViTri& q : query) qpos_.AppendRow(q.position);
+  }
+
+  void Evaluate(const ViTri& candidate, std::vector<double>* shared,
+                QueryCosts* costs) {
+    linalg::SquaredDistanceBatch(candidate.position, qpos_, d2_);
+    for (size_t qi = 0; qi < query_.size(); ++qi) {
+      ++costs->similarity_evals;
+      Accumulate(candidate,
+                 EstimatedSharedFrames(query_[qi], candidate, d2_[qi]),
+                 shared);
+    }
+  }
+
+ private:
+  const std::vector<ViTri>& query_;
+  linalg::FrameMatrix qpos_;
+  std::vector<double> d2_;
+};
+
 }  // namespace
+
+void KeepTopK(std::vector<VideoMatch>* matches, size_t k) {
+  std::sort(matches->begin(), matches->end(), RanksBefore);
+  if (matches->size() > k) matches->resize(k);
+}
+
+std::vector<VideoMatch> RankSharedFrames(
+    const std::vector<double>& shared_by_video,
+    const std::vector<uint32_t>& frame_counts, uint32_t query_frames,
+    size_t k) {
+  std::vector<VideoMatch> matches;
+  for (uint32_t vid = 0; vid < shared_by_video.size(); ++vid) {
+    if (shared_by_video[vid] <= 0.0) continue;
+    const uint32_t frames = frame_counts[vid];
+    if (frames == 0) continue;
+    const double sim = std::clamp(
+        2.0 * shared_by_video[vid] /
+            static_cast<double>(query_frames + frames),
+        0.0, 1.0);
+    matches.push_back(VideoMatch{vid, sim});
+  }
+  KeepTopK(&matches, k);
+  return matches;
+}
 
 Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
                                      const ViTriIndexOptions& options) {
@@ -48,6 +100,11 @@ Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
   }
   if (set.dimension != options.dimension) {
     return Status::InvalidArgument("dimension mismatch");
+  }
+  // Queries search R_i^Q + epsilon/2 around each key: a non-positive or
+  // non-finite epsilon would silently build empty, NaN or lossy ranges.
+  if (!(options.epsilon > 0.0) || !std::isfinite(options.epsilon)) {
+    return Status::InvalidArgument("epsilon must be positive and finite");
   }
   ViTriIndex index;
   index.options_ = options;
@@ -169,257 +226,121 @@ Status ViTriIndex::ApplyInsert(uint32_t video_id, uint32_t num_frames,
   return Status::OK();
 }
 
-std::vector<ViTriIndex::RangeSpec> ViTriIndex::MakeRanges(
+std::vector<KeyRange> ViTriIndex::MakeRanges(
     const std::vector<ViTri>& query) const {
-  std::vector<RangeSpec> ranges;
+  std::vector<KeyRange> ranges;
   ranges.reserve(query.size());
-  for (size_t i = 0; i < query.size(); ++i) {
-    const double key = transform_->Key(query[i].position);
-    const double gamma = query[i].radius + options_.epsilon / 2.0;
-    ranges.push_back(RangeSpec{key - gamma, key + gamma, i});
+  for (const ViTri& q : query) {
+    const double key = transform_->Key(q.position);
+    const double gamma = q.radius + options_.epsilon / 2.0;
+    ranges.push_back(KeyRange{key - gamma, key + gamma});
   }
   return ranges;
 }
 
-Result<std::vector<VideoMatch>> ViTriIndex::RankResults(
-    const std::vector<double>& shared_by_video, uint32_t query_frames,
-    size_t k) const {
-  std::vector<VideoMatch> matches;
-  for (uint32_t vid = 0; vid < shared_by_video.size(); ++vid) {
-    if (shared_by_video[vid] <= 0.0) continue;
-    const uint32_t frames = frame_counts_[vid];
-    if (frames == 0) continue;
-    const double sim = std::clamp(
-        2.0 * shared_by_video[vid] /
-            static_cast<double>(query_frames + frames),
-        0.0, 1.0);
-    matches.push_back(VideoMatch{vid, sim});
-  }
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
-  return matches;
-}
-
 Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
-                               const std::vector<RangeSpec>& ranges,
+                               const std::vector<KeyRange>& ranges,
                                KnnMethod method,
                                std::vector<double>* shared,
                                QueryCosts* costs,
                                QueryTrace* trace) const {
-  // Evaluates `record` against one query ViTri, accumulating shared
-  // frame estimates.
-  auto evaluate = [&](const ViTri& candidate, size_t query_index) {
-    ++costs->similarity_evals;
-    const double est =
-        EstimatedSharedFrames(query[query_index], candidate);
-    if (est > 0.0 && candidate.video_id < shared->size()) {
-      (*shared)[candidate.video_id] += est;
-    }
+  // One range search: a key range, and the slice [first, last) of
+  // `ranges` whose query ViTris its records are tested against. Naive
+  // issues one search per query ViTri, so candidates in overlapping
+  // ranges are re-read and re-evaluated (the paper's naive method);
+  // composition merges overlapping ranges first and tests each record
+  // against every range. RangeScan is inclusive, so a naive search's
+  // own range always covers its records.
+  struct Scan {
+    double lo;
+    double hi;
+    size_t first;
+    size_t last;
   };
-
-  if (trace == nullptr) {
-    if (method == KnnMethod::kNaive) {
-      // One range search per query ViTri; candidates in overlapping
-      // ranges are re-read and re-evaluated (the paper's naive method).
-      for (const RangeSpec& r : ranges) {
-        ++costs->range_searches;
-        auto scan_result = tree_->RangeScan(
-            r.lo, r.hi,
-            [&](double /*key*/, uint64_t /*rid*/,
-                std::span<const uint8_t> value) {
-              ++costs->candidates;
-              auto candidate =
-                  ViTri::Deserialize(value, options_.dimension);
-              if (candidate.ok()) evaluate(*candidate, r.query_index);
-              return true;
-            });
-        VITRI_RETURN_IF_ERROR(scan_result.status());
-      }
-      return Status::OK();
+  std::vector<Scan> scans;
+  if (method == KnnMethod::kNaive) {
+    scans.reserve(ranges.size());
+    for (size_t i = 0; i < ranges.size(); ++i) {
+      scans.push_back(Scan{ranges[i].lo, ranges[i].hi, i, i + 1});
     }
-
-    // Query composition: merge overlapping ranges, then evaluate each
-    // scanned record against every query ViTri whose range covers it.
-    std::vector<KeyRange> to_merge;
-    to_merge.reserve(ranges.size());
-    for (const RangeSpec& r : ranges) {
-      to_merge.push_back(KeyRange{r.lo, r.hi});
+  } else {
+    TraceSpanScope compose_span(trace, "compose", pool_.get());
+    for (const KeyRange& m : ComposeKeyRanges(ranges)) {
+      scans.push_back(Scan{m.lo, m.hi, 0, ranges.size()});
     }
-    const std::vector<KeyRange> merged =
-        ComposeKeyRanges(std::move(to_merge));
-    for (const KeyRange& m : merged) {
+  }
+
+  // Tracing: collecting candidates for a separate refine pass would
+  // copy every record and evict the pool's hot working set, and clocking
+  // every candidate costs more than the refinement itself. So the loop
+  // runs under one "scan" span, the first few candidates are timed, and
+  // their mean per-candidate cost, extrapolated to all candidates, is
+  // carved off the end of the scan span as the "refine" span
+  // (QueryTrace::SplitLastSpan; DESIGN.md §12). Untraced, max_samples
+  // is 0 and the sampling branch never fires. A sampled callback costs
+  // tens of nanoseconds, the same order as the clock-read pair around
+  // it, so the calibrated pair cost is subtracted from every sample.
+  using TraceClock = std::chrono::steady_clock;
+  const size_t max_samples = trace != nullptr ? 8 : 0;
+  const uint64_t candidates_before = costs->candidates;
+  size_t sampled = 0;
+  double sampled_seconds = 0.0;
+  {
+    TraceSpanScope scan_span(trace, "scan", pool_.get());
+    for (const Scan& scan : scans) {
       ++costs->range_searches;
       auto scan_result = tree_->RangeScan(
-          m.lo, m.hi,
-          [&](double key, uint64_t /*rid*/,
-              std::span<const uint8_t> value) {
+          scan.lo, scan.hi,
+          [&](double key, uint64_t /*rid*/, std::span<const uint8_t> value) {
+            const bool sample = sampled < max_samples;
+            TraceClock::time_point t0;
+            if (sample) t0 = TraceClock::now();
             ++costs->candidates;
-            auto candidate =
-                ViTri::Deserialize(value, options_.dimension);
-            if (!candidate.ok()) return true;
-            for (const RangeSpec& r : ranges) {
-              if (key >= r.lo && key <= r.hi) {
-                evaluate(*candidate, r.query_index);
+            auto candidate = ViTri::Deserialize(value, options_.dimension);
+            if (candidate.ok()) {
+              for (size_t i = scan.first; i < scan.last; ++i) {
+                if (key >= ranges[i].lo && key <= ranges[i].hi) {
+                  ++costs->similarity_evals;
+                  Accumulate(*candidate,
+                             EstimatedSharedFrames(query[i], *candidate),
+                             shared);
+                }
               }
+            }
+            if (sample) {
+              sampled_seconds += std::max(
+                  0.0, std::chrono::duration<double>(TraceClock::now() - t0)
+                               .count() -
+                           kTraceClockPairSeconds);
+              ++sampled;
             }
             return true;
           });
       VITRI_RETURN_IF_ERROR(scan_result.status());
     }
-    return Status::OK();
   }
-
-  // Traced path: the SAME streaming loop as above — collecting
-  // candidates for a separate refine pass would copy every record and
-  // evict the pool's hot working set (measured ~80% slowdown), and
-  // clocking every candidate individually costs more than the
-  // refinement itself. Instead the whole loop runs under one "scan"
-  // span, a handful of candidates from the *first* range search are
-  // timed, and the per-candidate mean extrapolated to all candidates
-  // is carved off the end of the scan span as the "refine" span
-  // (QueryTrace::SplitLastSpan; DESIGN.md §12). After the first range
-  // the callback is byte-identical to the untraced one, so the traced
-  // hot loop carries no sampling branches. The evaluation order is
-  // untouched, so results stay bit-identical to the untraced path.
-  constexpr size_t kTraceMaxSamples = 8;
-  using TraceClock = std::chrono::steady_clock;
-  // A sampled callback costs tens of nanoseconds — the same order as
-  // the clock-read pair around it — so the calibrated clock cost
-  // (kTraceClockPairSeconds, measured at process start) is subtracted
-  // from every sample to keep the estimate unbiased.
-  const double clock_pair_seconds = kTraceClockPairSeconds;
-  const uint64_t candidates_before = costs->candidates;
-  size_t sampled = 0;
-  double sampled_seconds = 0.0;
-
-  if (method == KnnMethod::kNaive) {
-    auto process = [&](const RangeSpec& r,
-                       std::span<const uint8_t> value) {
-      ++costs->candidates;
-      auto candidate = ViTri::Deserialize(value, options_.dimension);
-      if (candidate.ok()) evaluate(*candidate, r.query_index);
-    };
-    TraceSpanScope scan_span(trace, "scan", pool_.get());
-    for (size_t ri = 0; ri < ranges.size(); ++ri) {
-      const RangeSpec& r = ranges[ri];
-      ++costs->range_searches;
-      Result<uint64_t> scan_result = ri == 0
-          ? tree_->RangeScan(
-                r.lo, r.hi,
-                [&](double /*key*/, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  const bool sample = sampled < kTraceMaxSamples;
-                  TraceClock::time_point t0;
-                  if (sample) t0 = TraceClock::now();
-                  process(r, value);
-                  if (sample) {
-                    sampled_seconds += std::max(
-                        0.0, std::chrono::duration<double>(
-                                 TraceClock::now() - t0)
-                                     .count() -
-                                 clock_pair_seconds);
-                    ++sampled;
-                  }
-                  return true;
-                })
-          : tree_->RangeScan(
-                r.lo, r.hi,
-                [&](double /*key*/, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  process(r, value);
-                  return true;
-                });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
-    }
-  } else {
-    std::vector<KeyRange> to_merge;
-    to_merge.reserve(ranges.size());
-    for (const RangeSpec& r : ranges) {
-      to_merge.push_back(KeyRange{r.lo, r.hi});
-    }
-    std::vector<KeyRange> merged;
-    {
-      TraceSpanScope compose_span(trace, "compose", pool_.get());
-      merged = ComposeKeyRanges(std::move(to_merge));
-    }
-    auto process = [&](double key, std::span<const uint8_t> value) {
-      ++costs->candidates;
-      auto candidate = ViTri::Deserialize(value, options_.dimension);
-      if (!candidate.ok()) return;
-      for (const RangeSpec& r : ranges) {
-        if (key >= r.lo && key <= r.hi) {
-          evaluate(*candidate, r.query_index);
-        }
-      }
-    };
-    TraceSpanScope scan_span(trace, "scan", pool_.get());
-    for (size_t mi = 0; mi < merged.size(); ++mi) {
-      const KeyRange& m = merged[mi];
-      ++costs->range_searches;
-      Result<uint64_t> scan_result = mi == 0
-          ? tree_->RangeScan(
-                m.lo, m.hi,
-                [&](double key, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  const bool sample = sampled < kTraceMaxSamples;
-                  TraceClock::time_point t0;
-                  if (sample) t0 = TraceClock::now();
-                  process(key, value);
-                  if (sample) {
-                    sampled_seconds += std::max(
-                        0.0, std::chrono::duration<double>(
-                                 TraceClock::now() - t0)
-                                     .count() -
-                                 clock_pair_seconds);
-                    ++sampled;
-                  }
-                  return true;
-                })
-          : tree_->RangeScan(
-                m.lo, m.hi,
-                [&](double key, uint64_t /*rid*/,
-                    std::span<const uint8_t> value) {
-                  process(key, value);
-                  return true;
-                });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
-    }
+  if (trace != nullptr) {
+    const double refine_estimate =
+        sampled == 0 ? 0.0
+                     : sampled_seconds / static_cast<double>(sampled) *
+                           static_cast<double>(costs->candidates -
+                                               candidates_before);
+    trace->SplitLastSpan("refine", refine_estimate);
   }
-  // The scan span was just recorded (its scope closed above via the
-  // branch exits); carve the estimated refinement share off its end.
-  double refine_estimate = 0.0;
-  if (sampled > 0) {
-    refine_estimate =
-        sampled_seconds / static_cast<double>(sampled) *
-        static_cast<double>(costs->candidates - candidates_before);
-  }
-  trace->SplitLastSpan("refine", refine_estimate);
   return Status::OK();
 }
 
 void ViTriIndex::EvaluateInMemory(const std::vector<ViTri>& query,
                                   std::vector<double>* shared,
                                   QueryCosts* costs) const {
-  // Every candidate is evaluated against every query ViTri, so the
-  // candidate's center distances come from one batch-kernel sweep over
-  // the contiguous query-position matrix.
-  const linalg::FrameMatrix qpos = QueryPositionMatrix(query);
-  std::vector<double> d2(query.size());
+  costs->degraded = true;
+  costs->candidates = 0;
+  costs->similarity_evals = 0;
+  std::fill(shared->begin(), shared->end(), 0.0);
+  FullEvaluator evaluator(query);
   for (const ViTri& candidate : vitris_) {
     ++costs->candidates;
-    linalg::SquaredDistanceBatch(candidate.position, qpos, d2);
-    for (size_t qi = 0; qi < query.size(); ++qi) {
-      ++costs->similarity_evals;
-      const double est = EstimatedSharedFrames(query[qi], candidate, d2[qi]);
-      if (est > 0.0 && candidate.video_id < shared->size()) {
-        (*shared)[candidate.video_id] += est;
-      }
-    }
+    evaluator.Evaluate(candidate, shared, costs);
   }
 }
 
@@ -429,8 +350,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
   if (query.empty()) {
     return Status::InvalidArgument("query summary is empty");
   }
-  // Per-query-ViTri keys and radii for candidate evaluation.
-  std::vector<RangeSpec> ranges;
+  std::vector<KeyRange> ranges;
   {
     TraceSpanScope transform_span(trace, "transform", pool_.get());
     ranges = MakeRanges(query);
@@ -446,17 +366,13 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
     VITRI_LOG(kWarn) << "Knn degraded to in-memory evaluation: "
                         << scan.ToString();
     VITRI_METRIC_COUNTER("query.degraded")->Increment();
-    local->degraded = true;
-    local->candidates = 0;
-    local->similarity_evals = 0;
-    std::fill(shared.begin(), shared.end(), 0.0);
     TraceSpanScope refine_span(trace, "refine", pool_.get());
     EvaluateInMemory(query, &shared, local);
   } else if (!scan.ok()) {
     return scan;
   }
   TraceSpanScope rank_span(trace, "rank", pool_.get());
-  return RankResults(shared, query_frames, k);
+  return RankSharedFrames(shared, frame_counts_, query_frames, k);
 }
 
 Result<std::vector<VideoMatch>> ViTriIndex::Knn(
@@ -567,8 +483,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
   local.range_searches = 1;
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
-  const linalg::FrameMatrix qpos = QueryPositionMatrix(query);
-  std::vector<double> d2(query.size());
+  FullEvaluator evaluator(query);
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto scan_result = tree_->RangeScan(
       -kInf, kInf,
@@ -576,32 +491,20 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
           std::span<const uint8_t> value) {
         ++local.candidates;
         auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (!candidate.ok()) return true;
-        linalg::SquaredDistanceBatch(candidate->position, qpos, d2);
-        for (size_t qi = 0; qi < query.size(); ++qi) {
-          ++local.similarity_evals;
-          const double est =
-              EstimatedSharedFrames(query[qi], *candidate, d2[qi]);
-          if (est > 0.0 && candidate->video_id < shared.size()) {
-            shared[candidate->video_id] += est;
-          }
-        }
+        if (candidate.ok()) evaluator.Evaluate(*candidate, &shared, &local);
         return true;
       });
   if (scan_result.status().IsCorruption()) {
     VITRI_LOG(kWarn)
         << "SequentialScan degraded to in-memory evaluation: "
         << scan_result.status().ToString();
-    local.degraded = true;
-    local.candidates = 0;
-    local.similarity_evals = 0;
-    std::fill(shared.begin(), shared.end(), 0.0);
     EvaluateInMemory(query, &shared, &local);
   } else {
     VITRI_RETURN_IF_ERROR(scan_result.status());
   }
 
-  auto result = RankResults(shared, query_frames, k);
+  std::vector<VideoMatch> result =
+      RankSharedFrames(shared, frame_counts_, query_frames, k);
   const IoSnapshot delta = pool_->stats().Snapshot() - before;
   local.page_accesses = delta.logical_reads;
   local.physical_reads = delta.physical_reads;
@@ -616,7 +519,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   if (frame.size() != static_cast<size_t>(options_.dimension)) {
     return Status::InvalidArgument("frame dimension mismatch");
   }
-  if (epsilon <= 0.0) {
+  if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   Stopwatch watch;
@@ -632,19 +535,18 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   const double gamma = epsilon + options_.epsilon / 2.0;
 
   std::vector<double> matches_by_video(frame_counts_.size(), 0.0);
+  auto evaluate = [&](const ViTri& candidate) {
+    ++local.similarity_evals;
+    Accumulate(candidate, EstimatedMatchingFrames(frame, epsilon, candidate),
+               &matches_by_video);
+  };
   auto scan = tree_->RangeScan(
       key - gamma, key + gamma,
       [&](double /*key*/, uint64_t /*rid*/,
           std::span<const uint8_t> value) {
         ++local.candidates;
         auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (!candidate.ok()) return true;
-        ++local.similarity_evals;
-        const double est =
-            EstimatedMatchingFrames(frame, epsilon, *candidate);
-        if (est > 0.0 && candidate->video_id < matches_by_video.size()) {
-          matches_by_video[candidate->video_id] += est;
-        }
+        if (candidate.ok()) evaluate(*candidate);
         return true;
       });
   if (scan.status().IsCorruption()) {
@@ -656,11 +558,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
     std::fill(matches_by_video.begin(), matches_by_video.end(), 0.0);
     for (const ViTri& candidate : vitris_) {
       ++local.candidates;
-      ++local.similarity_evals;
-      const double est = EstimatedMatchingFrames(frame, epsilon, candidate);
-      if (est > 0.0 && candidate.video_id < matches_by_video.size()) {
-        matches_by_video[candidate.video_id] += est;
-      }
+      evaluate(candidate);
     }
   } else {
     VITRI_RETURN_IF_ERROR(scan.status());
@@ -672,13 +570,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
       out.push_back(VideoMatch{vid, matches_by_video[vid]});
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (out.size() > k) out.resize(k);
+  KeepTopK(&out, k);
 
   const IoSnapshot delta = pool_->stats().Snapshot() - before;
   local.page_accesses = delta.logical_reads;

@@ -138,6 +138,27 @@ struct VideoMatch {
   double similarity = 0.0;
 };
 
+/// The repo-wide result order: similarity descending, video id
+/// ascending. Every ranked list — single index, shard merge, baselines,
+/// ground truth — is sorted by it, so equal scores never reorder.
+inline bool RanksBefore(const VideoMatch& a, const VideoMatch& b) {
+  return a.similarity > b.similarity ||
+         (a.similarity == b.similarity && a.video_id < b.video_id);
+}
+
+/// Sorts `matches` by RanksBefore and keeps the first k.
+void KeepTopK(std::vector<VideoMatch>* matches, size_t k);
+
+/// Ranks a dense per-video accumulator of estimated shared frames
+/// (indexed by video id) into the top-k matches. Video v scores
+/// 2 * shared[v] / (query_frames + frame_counts[v]), clamped to [0, 1];
+/// videos with no shared frames or no recorded frame count are skipped.
+/// `frame_counts` must cover every id of `shared_by_video`.
+std::vector<VideoMatch> RankSharedFrames(
+    const std::vector<double>& shared_by_video,
+    const std::vector<uint32_t>& frame_counts, uint32_t query_frames,
+    size_t k);
+
 /// One query of a BatchKnn() fan-out: a query video's summary plus its
 /// frame count (for similarity normalization).
 struct BatchQuery {
@@ -236,10 +257,10 @@ class ViTriIndex {
   /// Top-k most similar videos to a query summary. `query_frames` is the
   /// query video's frame count (for similarity normalization). Costs are
   /// optional. A non-null `trace` records per-stage timed spans
-  /// (transform → compose → scan → refine → rank) with I/O deltas; the
-  /// traced path evaluates candidates after collecting them but
-  /// accumulates in the same order, so results are bit-identical to the
-  /// untraced streaming path (see DESIGN.md §12).
+  /// (transform → compose → scan → refine → rank) with I/O deltas. The
+  /// traced query runs the same streaming scan loop as the untraced one,
+  /// evaluating each candidate as it is read, so results are
+  /// bit-identical (see DESIGN.md §12).
   Result<std::vector<VideoMatch>> Knn(const std::vector<ViTri>& query,
                                       uint32_t query_frames, size_t k,
                                       KnnMethod method,
@@ -420,25 +441,21 @@ class ViTriIndex {
   Status ValidateInvariantsLocked() VITRI_REQUIRES(*latch_);
   Status ValidateInvariantsImpl() VITRI_REQUIRES(*latch_);
 
-  /// Accumulates per-video estimated shared frames for a scanned record.
-  struct RangeSpec {
-    double lo = 0.0;
-    double hi = 0.0;
-    size_t query_index = 0;  // Meaningful for naive ranges only.
-  };
-  std::vector<RangeSpec> MakeRanges(const std::vector<ViTri>& query) const
+  /// The search key range of every query ViTri, in query order:
+  /// key(position) ± (R_i^Q + epsilon/2). Range i belongs to query[i].
+  std::vector<KeyRange> MakeRanges(const std::vector<ViTri>& query) const
       VITRI_REQUIRES_SHARED(*latch_);
 
-  Result<std::vector<VideoMatch>> RankResults(
-      const std::vector<double>& shared_by_video, uint32_t query_frames,
-      size_t k) const VITRI_REQUIRES_SHARED(*latch_);
-
-  /// Tree-backed evaluation of a KNN query into `shared`. Read-only;
-  /// safe to run concurrently from BatchKnn workers. With a trace, the
-  /// scan collects candidates and the refine span evaluates them in the
-  /// identical order; without one, evaluation streams during the scan.
+  /// Tree-backed evaluation of a KNN query into `shared`. One streaming
+  /// loop serves both methods: kNaive range-searches each query ViTri's
+  /// range on its own, kComposed the ComposeKeyRanges() merge of all of
+  /// them. Each scanned record is evaluated, as it is read, against the
+  /// query ViTris whose ranges cover its key. With a trace, the loop runs
+  /// under a "scan" span, times its first few candidates, and carves the
+  /// extrapolated "refine" share off the scan span. Read-only; safe to
+  /// run concurrently from BatchKnn workers.
   Status KnnScanTree(const std::vector<ViTri>& query,
-                     const std::vector<RangeSpec>& ranges, KnnMethod method,
+                     const std::vector<KeyRange>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,
                      QueryTrace* trace) const VITRI_REQUIRES_SHARED(*latch_);
 
@@ -453,9 +470,10 @@ class ViTriIndex {
                                              QueryTrace* trace) const
       VITRI_REQUIRES_SHARED(*latch_);
 
-  /// Degraded path: evaluates every in-memory ViTri against every query
-  /// ViTri (exactly what a full sequential scan computes, minus the
-  /// broken pages).
+  /// Degraded path: discards what a failed tree scan accumulated into
+  /// `shared` and counted in `costs`, marks the query degraded, and
+  /// evaluates every in-memory ViTri against every query ViTri (exactly
+  /// what a full sequential scan computes, minus the broken pages).
   void EvaluateInMemory(const std::vector<ViTri>& query,
                         std::vector<double>* shared,
                         QueryCosts* costs) const

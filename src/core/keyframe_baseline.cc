@@ -83,13 +83,7 @@ std::vector<VideoMatch> KeyframeKnn(
     // same); zero-score padding would inflate precision arbitrarily.
     if (sim > 0.0) matches.push_back(VideoMatch{s.video_id, sim});
   }
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
+  KeepTopK(&matches, k);
   return matches;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "core/similarity.h"
@@ -175,11 +176,7 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
   QueryCosts local;
 
   // Pyramid intervals for every query ViTri's bounding box, merged.
-  struct TaggedInterval {
-    double lo;
-    double hi;
-  };
-  std::vector<TaggedInterval> all;
+  std::vector<KeyRange> intervals;
   const size_t dim = static_cast<size_t>(options_.dimension);
   for (const ViTri& q : query) {
     const double gamma = q.radius + options_.epsilon / 2.0;
@@ -188,26 +185,12 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
       lo[j] = q.position[j] - gamma;
       hi[j] = q.position[j] + gamma;
     }
-    for (const PyramidTransform::Interval& iv :
-         transform_->QueryIntervals(lo, hi)) {
-      all.push_back(TaggedInterval{iv.lo, iv.hi});
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const TaggedInterval& a, const TaggedInterval& b) {
-              return a.lo < b.lo;
-            });
-  std::vector<TaggedInterval> merged;
-  for (const TaggedInterval& iv : all) {
-    if (!merged.empty() && iv.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
-    } else {
-      merged.push_back(iv);
-    }
+    const std::vector<KeyRange> own = transform_->QueryIntervals(lo, hi);
+    intervals.insert(intervals.end(), own.begin(), own.end());
   }
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
-  for (const TaggedInterval& iv : merged) {
+  for (const KeyRange& iv : ComposeKeyRanges(std::move(intervals))) {
     ++local.range_searches;
     auto scan = tree_->RangeScan(
         iv.lo, iv.hi,
@@ -227,23 +210,8 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
         });
     VITRI_RETURN_IF_ERROR(scan.status());
   }
-
-  std::vector<VideoMatch> matches;
-  for (uint32_t vid = 0; vid < shared.size(); ++vid) {
-    if (shared[vid] <= 0.0 || frame_counts_[vid] == 0) continue;
-    const double sim = std::clamp(
-        2.0 * shared[vid] /
-            static_cast<double>(query_frames + frame_counts_[vid]),
-        0.0, 1.0);
-    matches.push_back(VideoMatch{vid, sim});
-  }
-  std::sort(matches.begin(), matches.end(),
-            [](const VideoMatch& a, const VideoMatch& b) {
-              return a.similarity > b.similarity ||
-                     (a.similarity == b.similarity &&
-                      a.video_id < b.video_id);
-            });
-  if (matches.size() > k) matches.resize(k);
+  std::vector<VideoMatch> matches =
+      RankSharedFrames(shared, frame_counts_, query_frames, k);
 
   const storage::IoSnapshot delta = pool_->stats().Snapshot() - before;
   local.page_accesses = delta.logical_reads;

@@ -38,10 +38,7 @@ class PyramidTransform {
   double Value(linalg::VecView point) const;
 
   /// One candidate interval of pyramid values.
-  struct Interval {
-    double lo = 0.0;
-    double hi = 0.0;
-  };
+  using Interval = KeyRange;
 
   /// The pyramid-value intervals that a rectangular query
   /// [lo_j, hi_j]^d (in the *original* space) can touch. Guarantees no

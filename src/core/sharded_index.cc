@@ -25,21 +25,15 @@ uint64_t MixVideoId(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// The repo-wide result order: similarity descending, video id
-/// ascending. Matches RankResults() in index.cc, so merged output is
-/// ordered exactly like single-index output.
-bool BetterMatch(const VideoMatch& a, const VideoMatch& b) {
-  return a.similarity > b.similarity ||
-         (a.similarity == b.similarity && a.video_id < b.video_id);
-}
-
-/// Merges per-shard top-k lists (each sorted best-first) into one
-/// global top-k with a bounded heap: the heap holds at most k matches
-/// with the *worst* retained match on top, so each candidate costs
-/// O(log k) and a sorted input list is abandoned at the first element
-/// that cannot improve the heap. Every video id appears in exactly one
-/// shard, so ties between distinct entries never involve equal
-/// (similarity, id) pairs and the order is total.
+/// Merges per-shard top-k lists (each sorted best-first by RanksBefore,
+/// the order every shard ranks with, so merged output is ordered exactly
+/// like single-index output) into one global top-k with a bounded heap:
+/// the heap holds at most k matches with the *worst* retained match on
+/// top, so each candidate costs O(log k) and a sorted input list is
+/// abandoned at the first element that cannot improve the heap. Every
+/// video id appears in exactly one shard, so ties between distinct
+/// entries never involve equal (similarity, id) pairs and the order is
+/// total.
 std::vector<VideoMatch> MergeTopK(
     const std::vector<std::vector<VideoMatch>>& lists, size_t k) {
   std::vector<VideoMatch> heap;
@@ -48,17 +42,17 @@ std::vector<VideoMatch> MergeTopK(
     for (const VideoMatch& m : list) {
       if (heap.size() < k) {
         heap.push_back(m);
-        std::push_heap(heap.begin(), heap.end(), BetterMatch);
-      } else if (BetterMatch(m, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), BetterMatch);
+        std::push_heap(heap.begin(), heap.end(), RanksBefore);
+      } else if (RanksBefore(m, heap.front())) {
+        std::pop_heap(heap.begin(), heap.end(), RanksBefore);
         heap.back() = m;
-        std::push_heap(heap.begin(), heap.end(), BetterMatch);
+        std::push_heap(heap.begin(), heap.end(), RanksBefore);
       } else {
         break;  // Sorted best-first: nothing later in this list fits.
       }
     }
   }
-  std::sort_heap(heap.begin(), heap.end(), BetterMatch);
+  std::sort_heap(heap.begin(), heap.end(), RanksBefore);
   return heap;
 }
 
@@ -144,7 +138,7 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Build(
   }
 
   // Partition by owner shard. Each part keeps the global-id-keyed frame
-  // count table (zeros for foreign videos): RankResults() skips
+  // count table (zeros for foreign videos): RankSharedFrames() skips
   // zero-frame videos and the shard validator only checks referenced
   // ids, so the padding is inert.
   std::vector<ViTriSet> parts(n);

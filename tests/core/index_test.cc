@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "core/vitri_builder.h"
@@ -57,6 +58,21 @@ TEST(ViTriIndexTest, BuildRejectsDimensionMismatch) {
   ViTriIndexOptions options = DefaultOptions();
   options.dimension = 32;
   EXPECT_FALSE(ViTriIndex::Build(w.set, options).ok());
+}
+
+TEST(ViTriIndexTest, BuildRejectsBadEpsilon) {
+  // Queries search R_i^Q + epsilon/2 around each key: a negative epsilon
+  // makes lo > hi ranges, NaN makes NaN ranges, and 0 (also what atof
+  // returns for a non-number) makes ranges narrower than the stored
+  // radii. Each would build an index that silently misses matches.
+  World w = MakeWorld();
+  for (const double epsilon :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    const auto index = ViTriIndex::Build(w.set, DefaultOptions(epsilon));
+    ASSERT_FALSE(index.ok()) << "epsilon " << epsilon;
+    EXPECT_TRUE(index.status().IsInvalidArgument()) << "epsilon " << epsilon;
+  }
 }
 
 TEST(ViTriIndexTest, KnnFindsExactCopy) {
@@ -319,8 +335,11 @@ TEST(ViTriIndexTest, FrameSearchRejectsBadInput) {
   auto index = ViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
   EXPECT_FALSE(index->FrameSearch(linalg::Vec(3, 0.1), 0.15, 5).ok());
-  EXPECT_FALSE(
-      index->FrameSearch(linalg::Vec(64, 0.1), 0.0, 5).ok());
+  for (const double epsilon :
+       {0.0, -0.1, std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_FALSE(index->FrameSearch(linalg::Vec(64, 0.1), epsilon, 5).ok())
+        << "epsilon " << epsilon;
+  }
 }
 
 TEST(ViTriIndexTest, FrameSearchFarFrameFindsNothing) {

@@ -118,6 +118,20 @@ TEST(ShardedIndexTest, BuildPartitionsEveryVideoToItsOwnerShard) {
   }
 }
 
+TEST(ShardedIndexTest, BuildRejectsBadEpsilon) {
+  // Every shard is built through ViTriIndex::Build, which rejects an
+  // epsilon that would make empty, NaN or lossy search ranges.
+  World w = MakeWorld(0);
+  for (const double epsilon :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ShardedIndexOptions options = Sharded(w, 4);
+    options.shard_options.epsilon = epsilon;
+    const auto index = ShardedViTriIndex::Build(w.set, options);
+    ASSERT_FALSE(index.ok()) << "epsilon " << epsilon;
+    EXPECT_TRUE(index.status().IsInvalidArgument()) << "epsilon " << epsilon;
+  }
+}
+
 TEST(ShardedIndexTest, KnnMatchesSingleShardForEveryShardCount) {
   World w = MakeWorld(6);
   ViTriIndexOptions io;
