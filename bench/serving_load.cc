@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "core/index.h"
+#include "core/sharded_index.h"
 #include "harness/bench_common.h"
 #include "harness/bench_report.h"
 #include "serving/client.h"
@@ -281,21 +281,21 @@ int main(int argc, char** argv) {
   endpoint.port = static_cast<int>(args.GetLong("--port", -1));
   const bool external = !endpoint.socket_path.empty() || endpoint.port >= 0;
 
-  std::unique_ptr<core::ViTriIndex> index;
+  std::unique_ptr<core::ShardedViTriIndex> index;
   std::unique_ptr<serving::Server> server;
   std::string temp_dir;
   if (!external) {
-    core::ViTriIndexOptions io;
-    io.dimension = workload.db.dimension;
-    io.epsilon = workload.epsilon;
-    Result<core::ViTriIndex> built =
-        core::ViTriIndex::Build(workload.set, io);
+    core::ShardedIndexOptions io;
+    io.shard_options.dimension = workload.db.dimension;
+    io.shard_options.epsilon = workload.epsilon;
+    Result<core::ShardedViTriIndex> built =
+        core::ShardedViTriIndex::Build(workload.set, io);
     if (!built.ok()) {
       std::fprintf(stderr, "index build failed: %s\n",
                    built.status().ToString().c_str());
       return 1;
     }
-    index = std::make_unique<core::ViTriIndex>(std::move(*built));
+    index = std::make_unique<core::ShardedViTriIndex>(std::move(*built));
     char tmpl[] = "/tmp/vitri_serving_load_XXXXXX";
     if (::mkdtemp(tmpl) == nullptr) {
       std::fprintf(stderr, "mkdtemp failed\n");

@@ -114,6 +114,9 @@ Result<ViTriIndex> ViTriIndex::Build(const ViTriSet& set,
     WriterLock lock(*index.latch_);
     index.vitris_ = set.vitris;
     index.frame_counts_ = set.frame_counts;
+    index.stored_videos_ = static_cast<size_t>(
+        std::count_if(set.frame_counts.begin(), set.frame_counts.end(),
+                      [](uint32_t frames) { return frames > 0; }));
     index.positions_.reserve(set.vitris.size());
     for (const ViTri& v : set.vitris) {
       if (v.dimension() != options.dimension) {
@@ -186,10 +189,19 @@ Status ViTriIndex::LoadTree() {
 Status ViTriIndex::Insert(uint32_t video_id, uint32_t num_frames,
                           const std::vector<ViTri>& vitris) {
   WriterLock lock(*latch_);
-  for (const ViTri& v : vitris) {
-    if (v.dimension() != options_.dimension) {
-      return Status::InvalidArgument("ViTri dimension mismatch");
-    }
+  // Reject anything that would corrupt the index before it reaches the
+  // WAL: a ViTri filed under another video breaks that video's frame
+  // accounting, and a radius above epsilon/2 lies outside every query's
+  // key range, so KNN would silently miss it.
+  VITRI_RETURN_IF_ERROR(ValidateInsert(video_id, num_frames, vitris,
+                                       options_.dimension, options_.epsilon));
+  // A re-insert may not shrink the frame count the video's stored
+  // clusters were checked against.
+  if (video_id < frame_counts_.size() && num_frames < frame_counts_[video_id]) {
+    return Status::InvalidArgument(
+        "re-insert of video " + std::to_string(video_id) + " lowers its " +
+        std::to_string(frame_counts_[video_id]) + " frames to " +
+        std::to_string(num_frames));
   }
   if (wal_ != nullptr) {
     // Log-then-apply: the insert must be recoverable before any of it
@@ -208,6 +220,8 @@ Status ViTriIndex::ApplyInsert(uint32_t video_id, uint32_t num_frames,
   if (video_id >= frame_counts_.size()) {
     frame_counts_.resize(video_id + 1, 0);
   }
+  if (frame_counts_[video_id] == 0 && num_frames > 0) ++stored_videos_;
+  if (frame_counts_[video_id] > 0 && num_frames == 0) --stored_videos_;
   frame_counts_[video_id] = num_frames;
   for (const ViTri& v : vitris) {
     if (v.dimension() != options_.dimension) {
@@ -616,6 +630,16 @@ Status ViTriIndex::ValidateInvariantsImpl() {
           "cached position " + std::to_string(i) +
           " diverged from its ViTri");
     }
+  }
+
+  const size_t stored = static_cast<size_t>(
+      std::count_if(frame_counts_.begin(), frame_counts_.end(),
+                    [](uint32_t frames) { return frames > 0; }));
+  if (stored != stored_videos_) {
+    return IndexInvariantViolation(
+        "stored-video count " + std::to_string(stored_videos_) +
+        " disagrees with the " + std::to_string(stored) +
+        " videos that have frames");
   }
 
   ViTriCheckOptions check;

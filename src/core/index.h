@@ -78,10 +78,12 @@ struct DurabilityOptions {
   std::function<bool(std::string_view point)> crash_hook;
 };
 
-/// What ViTriIndex::Open found while recovering.
+/// What ViTriIndex::Open found while recovering. ShardedViTriIndex::Open
+/// reports the sum over its shards (generation: the maximum).
 struct RecoveryStats {
   uint64_t generation = 0;
-  /// Contents of the checkpoint snapshot.
+  /// Contents of the checkpoint snapshot. Video counts are stored videos
+  /// (non-zero frame count), not the id-space extent.
   size_t snapshot_vitris = 0;
   size_t snapshot_videos = 0;
   /// WAL replay: committed batches applied on top of the snapshot.
@@ -246,7 +248,11 @@ class ViTriIndex {
   uint64_t wal_durable_commits() const VITRI_EXCLUDES(*latch_);
 
   /// Inserts one new video's summary (standard B+-tree insertions with
-  /// the original reference point, as in Section 6.3.3). On a durable
+  /// the original reference point, as in Section 6.3.3). Every ViTri
+  /// must belong to `video_id`, summarize at most `num_frames` frames and
+  /// pass ValidateViTri (dimension, radius <= epsilon/2, finite values),
+  /// and a re-insert of a stored video may not lower its frame count;
+  /// anything else is InvalidArgument and is never logged. On a durable
   /// index the insert is WAL-logged and committed before it is applied;
   /// when Insert returns OK the insert is recoverable (immediately
   /// under WalSyncMode::kEveryCommit, after the next sync under group
@@ -332,12 +338,10 @@ class ViTriIndex {
   /// Videos with a recorded frame count — num_videos() minus id-space
   /// gaps. The sharded index reports this per shard (each shard's frame
   /// count table is keyed by global video id, so its extent is not its
-  /// population).
+  /// population). O(1): kept as a running count.
   size_t stored_videos() const VITRI_EXCLUDES(*latch_) {
     ReaderLock lock(*latch_);
-    size_t stored = 0;
-    for (const uint32_t frames : frame_counts_) stored += frames > 0 ? 1 : 0;
-    return stored;
+    return stored_videos_;
   }
   uint32_t tree_height() const VITRI_EXCLUDES(*latch_) {
     ReaderLock lock(*latch_);
@@ -499,6 +503,9 @@ class ViTriIndex {
   std::vector<ViTri> vitris_ VITRI_GUARDED_BY(*latch_);
   std::vector<linalg::Vec> positions_ VITRI_GUARDED_BY(*latch_);
   std::vector<uint32_t> frame_counts_ VITRI_GUARDED_BY(*latch_);
+  /// Entries of frame_counts_ that are non-zero, updated on every 0 <->
+  /// non-zero transition so stored_videos() never walks the id space.
+  size_t stored_videos_ VITRI_GUARDED_BY(*latch_) = 0;
 
   /// Durable-ingest state; empty/null while not durable.
   std::string dur_dir_ VITRI_GUARDED_BY(*latch_);

@@ -44,6 +44,16 @@ void QueryTrace::SplitLastSpan(const char* name, double tail_seconds) {
   spans_.push_back(span);
 }
 
+void QueryTrace::AppendShard(const QueryTrace& other, uint32_t shard) {
+  const double offset =
+      std::chrono::duration<double>(other.epoch_ - epoch_).count();
+  for (TraceSpan span : other.spans_) {
+    span.shard = shard;
+    span.start_seconds += offset;
+    spans_.push_back(span);
+  }
+}
+
 double QueryTrace::SpanSeconds() const {
   double sum = 0.0;
   for (const TraceSpan& s : spans_) sum += s.duration_seconds;
@@ -68,9 +78,9 @@ std::string QueryTrace::ToString() const {
   std::ostringstream os;
   os << "query trace: total " << total_seconds_ * 1e3 << " ms\n";
   for (const TraceSpan& s : spans_) {
-    os << "  " << s.name << ": start +" << s.start_seconds * 1e3
-       << " ms, " << s.duration_seconds * 1e3 << " ms, "
-       << s.io.logical_reads << " page accesses ("
+    os << "  shard " << s.shard << " " << s.name << ": start +"
+       << s.start_seconds * 1e3 << " ms, " << s.duration_seconds * 1e3
+       << " ms, " << s.io.logical_reads << " page accesses ("
        << s.io.physical_reads << " physical)\n";
   }
   return os.str();
@@ -87,6 +97,8 @@ std::string QueryTrace::ToJson() const {
     w.BeginObject();
     w.Key("name");
     w.String(s.name);
+    w.Key("shard");
+    w.Uint(s.shard);
     w.Key("start_seconds");
     w.Double(s.start_seconds);
     w.Key("duration_seconds");

@@ -21,6 +21,8 @@ struct TraceSpan {
   /// Offset of the span start from QueryTrace::Begin(), seconds.
   double start_seconds = 0.0;
   double duration_seconds = 0.0;
+  /// The index shard that ran the stage (0 on an unsharded index).
+  uint32_t shard = 0;
   /// Pool counter delta across the span. For a single-threaded query
   /// this is exactly the span's own traffic; under BatchKnn the pool is
   /// shared, so concurrent workers' fetches land in whichever spans are
@@ -60,12 +62,17 @@ class QueryTrace {
   /// which would be far more expensive than the refinement itself
   /// (DESIGN.md §12). No-op without a recorded span.
   void SplitLastSpan(const char* name, double tail_seconds);
+  /// Appends `other`'s spans tagged with `shard`, their start offsets
+  /// moved onto this trace's epoch. The sharded index assembles one
+  /// query's trace from its per-shard traces this way.
+  void AppendShard(const QueryTrace& other, uint32_t shard);
   /// Sum of the spans' I/O deltas.
   storage::IoSnapshot TotalIo() const;
 
-  /// One line per span: name, start offset, duration, pages.
+  /// One line per span: shard, name, start offset, duration, pages.
   std::string ToString() const;
-  /// JSON: {"total_seconds": ..., "spans": [{"name": ..., ...}]}.
+  /// JSON: {"total_seconds": ..., "spans": [{"name": ..., "shard": ...,
+  /// ...}]}.
   /// Parseable by json::ParseJson (round-trip tested).
   std::string ToJson() const;
 

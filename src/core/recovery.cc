@@ -78,14 +78,14 @@ Result<uint64_t> ReadCurrentFile(const std::string& dir) {
   return static_cast<uint64_t>(value);
 }
 
-Status WriteCurrentFile(const std::string& dir, uint64_t generation) {
-  const std::string path = dir + "/" + kCurrentFileName;
+Status WriteFileAtomically(const std::string& dir, const std::string& name,
+                           const std::string& body) {
+  const std::string path = dir + "/" + name;
   const std::string tmp = path + ".tmp";
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot open " + tmp + " for writing");
   }
-  const std::string body = std::to_string(generation) + "\n";
   const bool wrote =
       std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
       std::fflush(f) == 0;
@@ -102,6 +102,11 @@ Status WriteCurrentFile(const std::string& dir, uint64_t generation) {
     return Status::IoError("rename to " + path + " failed");
   }
   return storage::SyncDir(dir);
+}
+
+Status WriteCurrentFile(const std::string& dir, uint64_t generation) {
+  return WriteFileAtomically(dir, kCurrentFileName,
+                             std::to_string(generation) + "\n");
 }
 
 Status RemoveStaleDurableFiles(const std::string& dir, uint64_t keep) {
@@ -288,7 +293,7 @@ Result<ViTriIndex> ViTriIndex::Open(const std::string& dir,
   RecoveryStats recovered;
   recovered.generation = generation;
   recovered.snapshot_vitris = set.vitris.size();
-  recovered.snapshot_videos = set.frame_counts.size();
+  recovered.snapshot_videos = index.stored_videos();
 
   // The index is private to this thread until Open returns, so every
   // latch acquisition below is uncontended; the blocks exist to honor
@@ -328,7 +333,7 @@ Result<ViTriIndex> ViTriIndex::Open(const std::string& dir,
     index.wal_ = std::make_unique<storage::WalWriter>(
         std::move(file), index.dur_.wal, /*base_seqno=*/replay.commits);
     recovered.recovered_vitris = index.vitris_.size();
-    recovered.recovered_videos = index.frame_counts_.size();
+    recovered.recovered_videos = index.stored_videos_;
   }
 
   // Orphans of checkpoints the crashed run never completed.

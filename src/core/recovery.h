@@ -35,8 +35,14 @@ std::string WalFileName(uint64_t generation);
 /// does not exist (no durable index there), Corruption when unparsable.
 Result<uint64_t> ReadCurrentFile(const std::string& dir);
 
-/// Atomically points `dir`/CURRENT at `generation` (tmp file + fsync +
-/// rename + directory fsync).
+/// Atomically replaces `dir`/`name` with `body`: tmp file + fsync +
+/// rename + directory fsync, so a crash leaves the old or the new file,
+/// never a torn one. CURRENT and the sharded index's SHARDS manifest
+/// are both written this way.
+Status WriteFileAtomically(const std::string& dir, const std::string& name,
+                           const std::string& body);
+
+/// Atomically points `dir`/CURRENT at `generation`.
 Status WriteCurrentFile(const std::string& dir, uint64_t generation);
 
 /// Removes snapshot/wal files of every generation other than `keep`,

@@ -1,8 +1,12 @@
 #include "core/sharded_index.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,6 +14,8 @@
 #include "common/os.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
+#include "core/recovery.h"
+#include "core/validate.h"
 #include "storage/io_stats.h"
 
 namespace vitri::core {
@@ -58,6 +64,75 @@ std::vector<VideoMatch> MergeTopK(
 
 std::string ShardGaugeName(size_t shard, const char* suffix) {
   return "index.shard." + std::to_string(shard) + "." + suffix;
+}
+
+std::string ShardDir(const std::string& dir, size_t shard) {
+  return dir + "/shard-" + std::to_string(shard);
+}
+
+constexpr char kGlobalReferenceNotDurable[] =
+    "durability needs local reference points (the pinned global "
+    "reference point is not persisted)";
+
+/// What the SHARDS manifest records.
+struct ShardManifest {
+  size_t num_shards = 0;
+  ShardAssignment assignment = ShardAssignment::kHash;
+};
+
+std::string ManifestBody(size_t num_shards, ShardAssignment assignment) {
+  return "shards " + std::to_string(num_shards) + "\nassignment " +
+         ShardAssignmentName(assignment) + "\n";
+}
+
+/// Reads `dir`/SHARDS: "shards <N>\nassignment <name>\n". NotFound when
+/// absent (nothing was ever committed there), Corruption when anything
+/// in it is off.
+Result<ShardManifest> ReadManifest(const std::string& dir) {
+  std::ifstream in(dir + "/" + kShardManifestFileName);
+  if (!in) {
+    return Status::NotFound("no durable sharded index at " + dir +
+                            " (missing " + kShardManifestFileName + ")");
+  }
+  std::string shards_key;
+  std::string count;
+  std::string assignment_key;
+  std::string name;
+  std::string extra;
+  in >> shards_key >> count >> assignment_key >> name;
+  const Status corrupt = Status::Corruption(
+      "malformed " + std::string(kShardManifestFileName) + " in " + dir);
+  if (shards_key != "shards" || assignment_key != "assignment" ||
+      (in >> extra) || count.empty() ||
+      count.find_first_not_of("0123456789") != std::string::npos) {
+    return corrupt;
+  }
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(count.c_str(), nullptr, 10);
+  if (errno != 0 || parsed < 1 || parsed > kMaxIndexShards) return corrupt;
+  ShardManifest manifest;
+  manifest.num_shards = static_cast<size_t>(parsed);
+  for (const ShardAssignment a :
+       {ShardAssignment::kHash, ShardAssignment::kRoundRobin}) {
+    if (name == ShardAssignmentName(a)) {
+      manifest.assignment = a;
+      return manifest;
+    }
+  }
+  return corrupt;
+}
+
+void AddShardStats(RecoveryStats* total, const RecoveryStats& shard) {
+  total->generation = std::max(total->generation, shard.generation);
+  total->snapshot_vitris += shard.snapshot_vitris;
+  total->snapshot_videos += shard.snapshot_videos;
+  total->wal_commits_replayed += shard.wal_commits_replayed;
+  total->wal_records_applied += shard.wal_records_applied;
+  total->wal_records_discarded += shard.wal_records_discarded;
+  total->wal_bytes_discarded += shard.wal_bytes_discarded;
+  total->wal_torn_tail = total->wal_torn_tail || shard.wal_torn_tail;
+  total->recovered_vitris += shard.recovered_vitris;
+  total->recovered_videos += shard.recovered_videos;
 }
 
 }  // namespace
@@ -119,9 +194,7 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Build(
   }
   ShardedViTriIndex index;
   index.options_ = options;
-  index.num_shards_ = ResolveIndexShards(options.num_shards);
-  index.options_.num_shards = index.num_shards_;
-  const size_t n = index.num_shards_;
+  const size_t n = ResolveIndexShards(options.num_shards);
 
   if (!options.local_reference_points &&
       !options.shard_options.transform_factory) {
@@ -155,23 +228,12 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Build(
     if (!part.vitris.empty()) part.frame_counts[vid] = set.frame_counts[vid];
   }
 
-  index.shard_gauges_.resize(n);
-  for (size_t s = 0; s < n; ++s) {
-    metrics::Registry& registry = metrics::Registry::Instance();
-    index.shard_gauges_[s].videos =
-        registry.GetGauge(ShardGaugeName(s, "videos"));
-    index.shard_gauges_[s].vitris =
-        registry.GetGauge(ShardGaugeName(s, "vitris"));
-    index.shard_gauges_[s].height =
-        registry.GetGauge(ShardGaugeName(s, "height"));
-  }
-
   const ViTriIndexOptions shard_opts = index.ShardOptions();
   {
     // The index is still private to this thread; holding its latch here
     // is uncontended and satisfies the guarded-member contracts.
     WriterLock lock(*index.latch_);
-    index.shards_.resize(n);
+    index.InitShardsLocked(n);
     for (size_t s = 0; s < n; ++s) {
       if (parts[s].vitris.empty()) {
         index.RefreshShardGauges(s);
@@ -184,6 +246,154 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Build(
     }
   }
   return index;
+}
+
+void ShardedViTriIndex::InitShardsLocked(size_t num_shards) {
+  num_shards_ = num_shards;
+  options_.num_shards = num_shards;
+  shards_.resize(num_shards);
+  shard_gauges_.resize(num_shards);
+  metrics::Registry& registry = metrics::Registry::Instance();
+  for (size_t s = 0; s < num_shards; ++s) {
+    shard_gauges_[s].videos = registry.GetGauge(ShardGaugeName(s, "videos"));
+    shard_gauges_[s].vitris = registry.GetGauge(ShardGaugeName(s, "vitris"));
+    shard_gauges_[s].height = registry.GetGauge(ShardGaugeName(s, "height"));
+  }
+}
+
+Result<ShardedViTriIndex> ShardedViTriIndex::Open(
+    const std::string& dir, ShardedIndexOptions options,
+    DurabilityOptions durability, RecoveryStats* stats) {
+  if (!options.local_reference_points) {
+    return Status::InvalidArgument(kGlobalReferenceNotDurable);
+  }
+  VITRI_ASSIGN_OR_RETURN(const ShardManifest manifest, ReadManifest(dir));
+  if (options.num_shards != 0 && options.num_shards != manifest.num_shards) {
+    return Status::InvalidArgument(
+        "requested " + std::to_string(options.num_shards) +
+        " shards, but the index at " + dir + " has " +
+        std::to_string(manifest.num_shards));
+  }
+  ShardedViTriIndex index;
+  index.options_ = options;
+  index.options_.assignment = manifest.assignment;
+  RecoveryStats total;
+  {
+    // Private to this thread until Open returns (see Build).
+    WriterLock lock(*index.latch_);
+    index.InitShardsLocked(manifest.num_shards);
+    int dimension = 0;
+    for (size_t s = 0; s < manifest.num_shards; ++s) {
+      const std::string shard_dir = ShardDir(dir, s);
+      // No CURRENT: power was lost before the shard's first checkpoint
+      // flip, so nothing in it was ever acknowledged. The shard is empty.
+      if (ReadCurrentFile(shard_dir).status().IsNotFound()) {
+        index.RefreshShardGauges(s);
+        continue;
+      }
+      RecoveryStats shard_stats;
+      VITRI_ASSIGN_OR_RETURN(
+          ViTriIndex shard,
+          ViTriIndex::Open(shard_dir, index.options_.shard_options,
+                           durability, &shard_stats));
+      if (dimension != 0 && shard.options().dimension != dimension) {
+        return Status::Corruption("shards of " + dir +
+                                  " disagree on the dimension");
+      }
+      dimension = shard.options().dimension;
+      AddShardStats(&total, shard_stats);
+      index.shards_[s] = std::make_unique<ViTriIndex>(std::move(shard));
+      index.RefreshShardGauges(s);
+    }
+    if (dimension == 0) {
+      return Status::Corruption("no shard of " + dir + " holds data");
+    }
+    index.options_.shard_options.dimension = dimension;
+    index.dur_dir_ = dir;
+    index.dur_ = std::move(durability);
+  }
+  if (stats != nullptr) *stats = total;
+  return index;
+}
+
+Status ShardedViTriIndex::EnableDurability(const std::string& dir,
+                                           DurabilityOptions durability) {
+  if (!options_.local_reference_points) {
+    return Status::InvalidArgument(kGlobalReferenceNotDurable);
+  }
+  WriterLock lock(*latch_);
+  if (!dur_dir_.empty()) {
+    return Status::InvalidArgument("index is already durable");
+  }
+  if (::mkdir(dir.c_str(), 0755) != 0 && errno != EEXIST) {
+    return Status::IoError("mkdir(" + dir + "): " + ErrnoString(errno));
+  }
+  for (size_t s = 0; s < num_shards_; ++s) {
+    // Skipping already-durable shards lets a failed call be retried.
+    if (shards_[s] == nullptr || shards_[s]->durable()) continue;
+    VITRI_RETURN_IF_ERROR(
+        shards_[s]->EnableDurability(ShardDir(dir, s), durability));
+  }
+  // The manifest goes last: it is the commit point Open looks for.
+  VITRI_RETURN_IF_ERROR(WriteFileAtomically(
+      dir, kShardManifestFileName,
+      ManifestBody(num_shards_, options_.assignment)));
+  dur_dir_ = dir;
+  dur_ = std::move(durability);
+  return Status::OK();
+}
+
+Status ShardedViTriIndex::Checkpoint() {
+  ReaderLock lock(*latch_);
+  if (dur_dir_.empty()) {
+    return Status::InvalidArgument("index is not durable");
+  }
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    if (shard != nullptr) VITRI_RETURN_IF_ERROR(shard->Checkpoint());
+  }
+  return Status::OK();
+}
+
+Status ShardedViTriIndex::SyncWal() {
+  ReaderLock lock(*latch_);
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    if (shard != nullptr) VITRI_RETURN_IF_ERROR(shard->SyncWal());
+  }
+  return Status::OK();
+}
+
+bool ShardedViTriIndex::durable() const {
+  ReaderLock lock(*latch_);
+  return !dur_dir_.empty();
+}
+
+uint64_t ShardedViTriIndex::generation() const {
+  ReaderLock lock(*latch_);
+  uint64_t generation = 0;
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    if (shard != nullptr) {
+      generation = std::max(generation, shard->generation());
+    }
+  }
+  return generation;
+}
+
+uint64_t ShardedViTriIndex::wal_commits() const {
+  ReaderLock lock(*latch_);
+  uint64_t commits = 0;
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    if (shard != nullptr) commits += shard->wal_commits();
+  }
+  return commits;
+}
+
+uint64_t ShardedViTriIndex::wal_durable_commits() const {
+  ReaderLock lock(*latch_);
+  uint64_t commits = 0;
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    if (shard != nullptr) commits += shard->wal_durable_commits();
+  }
+  return commits;
 }
 
 void ShardedViTriIndex::RefreshShardGauges(size_t s) const {
@@ -206,21 +416,23 @@ Status ShardedViTriIndex::CreateShardLocked(size_t s, uint32_t video_id,
         "cannot create shard " + std::to_string(s) +
         " from video " + std::to_string(video_id) + " with no ViTris");
   }
-  for (const ViTri& v : vitris) {
-    if (v.video_id != video_id) {
-      return Status::InvalidArgument(
-          "insert for video " + std::to_string(video_id) +
-          " carries a ViTri of video " + std::to_string(v.video_id));
-    }
-  }
+  const ViTriIndexOptions shard_opts = ShardOptions();
+  VITRI_RETURN_IF_ERROR(ValidateInsert(video_id, num_frames, vitris,
+                                       shard_opts.dimension,
+                                       shard_opts.epsilon));
   ViTriSet set;
-  set.dimension = options_.shard_options.dimension;
+  set.dimension = shard_opts.dimension;
   set.vitris = vitris;
   set.frame_counts.assign(static_cast<size_t>(video_id) + 1, 0);
   set.frame_counts[video_id] = num_frames;
-  VITRI_ASSIGN_OR_RETURN(ViTriIndex shard,
-                         ViTriIndex::Build(set, ShardOptions()));
-  shards_[s] = std::make_unique<ViTriIndex>(std::move(shard));
+  VITRI_ASSIGN_OR_RETURN(ViTriIndex built, ViTriIndex::Build(set, shard_opts));
+  auto shard = std::make_unique<ViTriIndex>(std::move(built));
+  // Durable before it is published: a shard that failed to become
+  // durable never serves, so no insert it took can be lost.
+  if (!dur_dir_.empty()) {
+    VITRI_RETURN_IF_ERROR(shard->EnableDurability(ShardDir(dur_dir_, s), dur_));
+  }
+  shards_[s] = std::move(shard);
   return Status::OK();
 }
 
@@ -280,17 +492,24 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
 
 Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
     const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-    size_t num_threads, QueryCosts* costs) {
+    size_t num_threads, QueryCosts* costs, std::vector<QueryTrace>* traces) {
   Stopwatch watch;
   const size_t n = queries.size();
   std::vector<std::vector<VideoMatch>> out(n);
   QueryCosts total;
+  if (traces != nullptr) {
+    traces->assign(n, QueryTrace());
+    for (QueryTrace& trace : *traces) trace.Begin();
+  }
   {
     ReaderLock lock(*latch_);
     std::vector<ViTriIndex*> live;
+    std::vector<uint32_t> live_ids;
     live.reserve(num_shards_);
-    for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
-      if (shard != nullptr) live.push_back(shard.get());
+    for (size_t s = 0; s < num_shards_; ++s) {
+      if (shards_[s] == nullptr) continue;
+      live.push_back(shards_[s].get());
+      live_ids.push_back(static_cast<uint32_t>(s));
     }
     if (n > 0 && !live.empty()) {
       // Concurrent tasks on one shard see each other's pool traffic, so
@@ -312,13 +531,15 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
         lists.resize(live.size());
       }
       std::vector<QueryCosts> task_costs(tasks);
+      std::vector<QueryTrace> task_traces(traces != nullptr ? tasks : 0);
       std::vector<Status> statuses(tasks);
       const auto run_one = [&](size_t t) {
         latch_->AssertHeldShared();
         const size_t q = t / live.size();
         const size_t j = t % live.size();
-        auto matches = live[j]->Knn(queries[q].vitris, queries[q].num_frames,
-                                    k, method, &task_costs[t]);
+        auto matches = live[j]->Knn(
+            queries[q].vitris, queries[q].num_frames, k, method,
+            &task_costs[t], task_traces.empty() ? nullptr : &task_traces[t]);
         if (!matches.ok()) {
           statuses[t] = matches.status();
           return;
@@ -350,7 +571,15 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
       // (similarity, id) order, so results are identical to sequential
       // per-query Knn regardless of task scheduling.
       for (size_t q = 0; q < n; ++q) out[q] = MergeTopK(scattered[q], k);
+      // Tasks run query-major, so each query's spans land in shard order.
+      for (size_t t = 0; t < task_traces.size(); ++t) {
+        (*traces)[t / live.size()].AppendShard(task_traces[t],
+                                               live_ids[t % live.size()]);
+      }
     }
+  }
+  if (traces != nullptr) {
+    for (QueryTrace& trace : *traces) trace.End();
   }
   total.cpu_seconds = watch.ElapsedSeconds();
   if (costs != nullptr) *costs = total;

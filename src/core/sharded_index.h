@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,6 +39,11 @@ size_t ResolveIndexShards(size_t requested);
 /// Upper bound on the shard count (a routing sanity cap, far above any
 /// sensible configuration on one machine).
 inline constexpr size_t kMaxIndexShards = 1024;
+
+/// The manifest of a durable sharded index directory (DESIGN.md §13):
+/// the shard count and assignment. Written last by EnableDurability, so
+/// its presence is the directory's commit point.
+inline constexpr char kShardManifestFileName[] = "SHARDS";
 
 struct ShardedIndexOptions {
   /// Number of shards; 0 resolves via ResolveIndexShards().
@@ -77,6 +83,13 @@ struct ShardedIndexOptions {
 /// shard) and only takes it exclusive to create a missing shard. Lock
 /// order: wrapper latch → shard latch (→ tree → pool, DESIGN.md §14);
 /// no thread ever holds two shard latches at once.
+///
+/// Durability is per shard: EnableDurability() makes every live shard an
+/// ordinary durable ViTriIndex in `<dir>/shard-<i>/` and then writes the
+/// `<dir>/SHARDS` manifest; Open() recovers each shard and treats a
+/// shard directory without CURRENT as an empty shard. A shard that
+/// Insert() creates on a durable index is made durable before the
+/// insert is acknowledged.
 class ShardedViTriIndex {
  public:
   ShardedViTriIndex(ShardedViTriIndex&&) noexcept = default;
@@ -98,11 +111,45 @@ class ShardedViTriIndex {
   static Result<ShardedViTriIndex> Build(const ViTriSet& set,
                                          const ShardedIndexOptions& options);
 
+  /// Recovers a durable sharded index from `dir` (see the class
+  /// comment). NotFound without a SHARDS manifest, Corruption for a
+  /// malformed one. The manifest is authoritative about the shard count
+  /// and assignment, as each shard's snapshot is about the dimension: a
+  /// non-zero `options.num_shards` that disagrees is InvalidArgument,
+  /// and 0 takes the manifest's count (never VITRI_INDEX_SHARDS).
+  /// `stats` sums the shards' recovery stats (generation: the maximum).
+  static Result<ShardedViTriIndex> Open(const std::string& dir,
+                                        ShardedIndexOptions options,
+                                        DurabilityOptions durability = {},
+                                        RecoveryStats* stats = nullptr);
+
+  /// Makes every live shard durable in `<dir>/shard-<i>/` (ViTriIndex::
+  /// EnableDurability), then writes the manifest. Fails if the index is
+  /// already durable, and with local_reference_points = false (the
+  /// pinned global reference point is not persisted).
+  Status EnableDurability(const std::string& dir,
+                          DurabilityOptions durability = {})
+      VITRI_EXCLUDES(*latch_);
+
+  /// Checkpoints every live shard (ViTriIndex::Checkpoint).
+  Status Checkpoint() VITRI_EXCLUDES(*latch_);
+
+  /// Forces every shard's acked inserts durable (ViTriIndex::SyncWal).
+  Status SyncWal() VITRI_EXCLUDES(*latch_);
+
+  /// True once EnableDurability/Open made the index durable.
+  bool durable() const VITRI_EXCLUDES(*latch_);
+  /// Highest checkpoint generation over the shards (0 when not durable).
+  uint64_t generation() const VITRI_EXCLUDES(*latch_);
+  /// WAL commit counters summed over the shards.
+  uint64_t wal_commits() const VITRI_EXCLUDES(*latch_);
+  uint64_t wal_durable_commits() const VITRI_EXCLUDES(*latch_);
+
   /// Routes the insert to the owner shard, creating it first if this is
   /// the shard's first video (the new shard's reference point is fitted
   /// on that video alone in local mode, or reuses the pinned global
   /// transform otherwise). Creating a shard requires `vitris` to be
-  /// non-empty.
+  /// non-empty. Rejects what ViTriIndex::Insert rejects.
   Status Insert(uint32_t video_id, uint32_t num_frames,
                 const std::vector<ViTri>& vitris) VITRI_EXCLUDES(*latch_);
 
@@ -127,11 +174,13 @@ class ShardedViTriIndex {
   /// num_threads <= 1 runs inline. `costs` aggregates the batch:
   /// page/physical counts are the per-shard pool deltas across the
   /// batch, cpu_seconds the batch wall time, the rest summed per-task
-  /// counters.
+  /// counters. `traces`, if given, is resized to queries.size(); each
+  /// (query, shard) task traces its shard's Knn, and trace q holds every
+  /// live shard's spans in shard order, each tagged with its shard.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
       const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-      size_t num_threads, QueryCosts* costs = nullptr)
-      VITRI_EXCLUDES(*latch_);
+      size_t num_threads, QueryCosts* costs = nullptr,
+      std::vector<QueryTrace>* traces = nullptr) VITRI_EXCLUDES(*latch_);
 
   /// Deep self-check, PR 2 validator pattern: every shard passes its own
   /// ValidateInvariants(), every video stored in shard s (frame count or
@@ -174,12 +223,17 @@ class ShardedViTriIndex {
  private:
   ShardedViTriIndex() = default;
 
+  /// Sizes the shard table (all slots empty) and its gauges for
+  /// `num_shards` shards. Caller holds the latch exclusively.
+  void InitShardsLocked(size_t num_shards) VITRI_REQUIRES(*latch_);
+
   /// Builds the per-shard ViTriIndexOptions (injecting the pinned
   /// global transform when configured).
   ViTriIndexOptions ShardOptions() const;
 
-  /// Creates shard `s` from its first video. Caller holds the wrapper
-  /// latch exclusively.
+  /// Creates shard `s` from its first video, durable before it is
+  /// published when the index is. Caller holds the wrapper latch
+  /// exclusively.
   Status CreateShardLocked(size_t s, uint32_t video_id, uint32_t num_frames,
                            const std::vector<ViTri>& vitris)
       VITRI_REQUIRES(*latch_);
@@ -198,6 +252,11 @@ class ShardedViTriIndex {
 
   std::unique_ptr<SharedMutex> latch_ = std::make_unique<SharedMutex>();
   std::vector<std::unique_ptr<ViTriIndex>> shards_ VITRI_GUARDED_BY(*latch_);
+  /// Durable state: the directory holding SHARDS and the shard
+  /// directories, and the options every shard's WAL is opened with
+  /// (shards Insert creates later too). Empty while not durable.
+  std::string dur_dir_ VITRI_GUARDED_BY(*latch_);
+  DurabilityOptions dur_ VITRI_GUARDED_BY(*latch_);
   /// Cached registry pointers for the per-shard content gauges
   /// ({videos, vitris, height} per shard); registry lookups take a map
   /// lock, so they happen once at construction.

@@ -106,6 +106,27 @@ Status ValidateViTriSet(const ViTriSet& set,
   return Status::OK();
 }
 
+Status ValidateInsert(uint32_t video_id, uint32_t num_frames,
+                      const std::vector<ViTri>& vitris, int dimension,
+                      double epsilon) {
+  for (const ViTri& v : vitris) {
+    if (v.video_id != video_id) {
+      return Status::InvalidArgument(
+          "insert for video " + std::to_string(video_id) +
+          " carries a ViTri of video " + std::to_string(v.video_id));
+    }
+    if (v.cluster_size > num_frames) {
+      return Status::InvalidArgument(
+          "insert for video " + std::to_string(video_id) + " of " +
+          std::to_string(num_frames) + " frames carries a cluster of " +
+          std::to_string(v.cluster_size));
+    }
+    const Status valid = ValidateViTri(v, dimension, epsilon);
+    if (!valid.ok()) return Status::InvalidArgument(valid.message());
+  }
+  return Status::OK();
+}
+
 Status ValidateSnapshotRoundTrip(const ViTriSet& set) {
   std::vector<uint8_t> bytes;
   std::vector<uint8_t> again;

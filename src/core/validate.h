@@ -1,6 +1,9 @@
 #ifndef VITRI_CORE_VALIDATE_H_
 #define VITRI_CORE_VALIDATE_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/status.h"
 #include "core/vitri.h"
 
@@ -34,6 +37,14 @@ Status ValidateViTri(const ViTri& vitri, int dimension, double epsilon);
 /// per-video frame accounting.
 Status ValidateViTriSet(const ViTriSet& set,
                         const ViTriCheckOptions& options = {});
+
+/// The admission check of one inserted video: every ViTri belongs to
+/// `video_id`, summarizes at most `num_frames` frames, and passes
+/// ValidateViTri. Unlike the validators above it judges outside input,
+/// so a violation is InvalidArgument, not Internal.
+Status ValidateInsert(uint32_t video_id, uint32_t num_frames,
+                      const std::vector<ViTri>& vitris, int dimension,
+                      double epsilon);
 
 /// Proves serialization is lossless for every ViTri in the set:
 /// Serialize -> Deserialize -> Serialize must reproduce the identical

@@ -43,14 +43,8 @@ const char* StateName(uint8_t state) {
 
 }  // namespace
 
-Server::Server(core::ViTriIndex* index, ServerOptions options)
-    : index_(index),
-      options_(std::move(options)),
-      queue_(options_.queue_capacity) {}
-
-Server::Server(core::ShardedViTriIndex* sharded, ServerOptions options)
-    : index_(nullptr),
-      sharded_(sharded),
+Server::Server(core::ShardedViTriIndex* index, ServerOptions options)
+    : sharded_(index),
       options_(std::move(options)),
       queue_(options_.queue_capacity) {}
 
@@ -374,15 +368,10 @@ void Server::HandleKnn(WorkItem item) {
   Status failure = Status::OK();
   bool expired = false;
   if (item.deadline_us == 0) {
-    // Query tracing is a single-index feature; the sharded route
-    // scatter-gathers across shards without per-stage traces.
     Result<std::vector<std::vector<core::VideoMatch>>> r =
-        sharded_ != nullptr
-            ? sharded_->BatchKnn(item.knn.queries, item.knn.k,
-                                 item.knn.method, options_.knn_threads)
-            : index_->BatchKnn(item.knn.queries, item.knn.k, item.knn.method,
-                               options_.knn_threads, nullptr,
-                               traced ? &traces : nullptr);
+        sharded_->BatchKnn(item.knn.queries, item.knn.k, item.knn.method,
+                           options_.knn_threads, nullptr,
+                           traced ? &traces : nullptr);
     if (r.ok()) {
       resp.results = std::move(*r);
     } else {
@@ -399,11 +388,7 @@ void Server::HandleKnn(WorkItem item) {
         break;
       }
       Result<std::vector<core::VideoMatch>> r =
-          sharded_ != nullptr
-              ? sharded_->Knn(q.vitris, q.num_frames, item.knn.k,
-                              item.knn.method)
-              : index_->Knn(q.vitris, q.num_frames, item.knn.k,
-                            item.knn.method);
+          sharded_->Knn(q.vitris, q.num_frames, item.knn.k, item.knn.method);
       if (!r.ok()) {
         failure = r.status();
         break;
@@ -442,12 +427,8 @@ void Server::HandleKnn(WorkItem item) {
 }
 
 void Server::HandleInsert(WorkItem item) {
-  Status st =
-      sharded_ != nullptr
-          ? sharded_->Insert(item.insert.video_id, item.insert.num_frames,
-                             item.insert.vitris)
-          : index_->Insert(item.insert.video_id, item.insert.num_frames,
-                           item.insert.vitris);
+  const Status st = sharded_->Insert(
+      item.insert.video_id, item.insert.num_frames, item.insert.vitris);
   if (st.ok()) {
     responses_ok_.fetch_add(1, std::memory_order_relaxed);
     RespondSimple(item.session, MessageType::kInsertResponse, item.request_id,
@@ -518,47 +499,30 @@ std::string Server::BuildStatsJson() {
   w.Uint(invalid_requests_.load(std::memory_order_relaxed));
   w.Key("responses_ok");
   w.Uint(responses_ok_.load(std::memory_order_relaxed));
+  // Per-shard contents live in the metrics registry as index.shard.<i>.*
+  // gauges; this block is the whole index.
   w.Key("index");
   w.BeginObject();
-  if (sharded_ != nullptr) {
-    // Sharded route: per-shard contents live in the metrics registry as
-    // index.shard.<i>.* gauges; durability is single-index-only.
-    w.Key("videos");
-    w.Uint(sharded_->num_videos());
-    w.Key("vitris");
-    w.Uint(sharded_->num_vitris());
-    w.Key("tree_height");
-    w.Uint(sharded_->tree_height());
-    w.Key("shards");
-    w.Uint(sharded_->num_shards());
-    w.Key("live_shards");
-    w.Uint(sharded_->live_shards());
-    w.Key("assignment");
-    w.String(core::ShardAssignmentName(sharded_->assignment()));
-    w.Key("durable");
-    w.Bool(false);
-    w.Key("generation");
-    w.Uint(0);
-    w.Key("wal_commits");
-    w.Uint(0);
-    w.Key("wal_durable_commits");
-    w.Uint(0);
-  } else {
-    w.Key("videos");
-    w.Uint(index_->num_videos());
-    w.Key("vitris");
-    w.Uint(index_->num_vitris());
-    w.Key("tree_height");
-    w.Uint(index_->tree_height());
-    w.Key("durable");
-    w.Bool(index_->durable());
-    w.Key("generation");
-    w.Uint(index_->generation());
-    w.Key("wal_commits");
-    w.Uint(index_->wal_commits());
-    w.Key("wal_durable_commits");
-    w.Uint(index_->wal_durable_commits());
-  }
+  w.Key("videos");
+  w.Uint(sharded_->num_videos());
+  w.Key("vitris");
+  w.Uint(sharded_->num_vitris());
+  w.Key("tree_height");
+  w.Uint(sharded_->tree_height());
+  w.Key("shards");
+  w.Uint(sharded_->num_shards());
+  w.Key("live_shards");
+  w.Uint(sharded_->live_shards());
+  w.Key("assignment");
+  w.String(core::ShardAssignmentName(sharded_->assignment()));
+  w.Key("durable");
+  w.Bool(sharded_->durable());
+  w.Key("generation");
+  w.Uint(sharded_->generation());
+  w.Key("wal_commits");
+  w.Uint(sharded_->wal_commits());
+  w.Key("wal_durable_commits");
+  w.Uint(sharded_->wal_durable_commits());
   w.EndObject();
   w.EndObject();
   w.Key("metrics");
@@ -650,9 +614,8 @@ Status Server::Shutdown() {
   }
   // 5. Make acknowledged inserts durable past the group-commit window.
   Status st = Status::OK();
-  if (options_.checkpoint_on_shutdown && index_ != nullptr &&
-      index_->durable()) {
-    st = index_->Checkpoint();
+  if (options_.checkpoint_on_shutdown && sharded_->durable()) {
+    st = sharded_->Checkpoint();
   }
   {
     MutexLock lock(state_mu_);

@@ -54,7 +54,8 @@ struct ServerOptions {
   std::function<void(std::string_view point)> stage_hook;
 };
 
-/// `vitrid` — a long-lived server around one ViTriIndex (DESIGN.md §15).
+/// `vitrid` — a long-lived server around one ShardedViTriIndex (DESIGN.md
+/// §15); an unsharded deployment is simply num_shards = 1.
 ///
 /// Threading model: one listener thread accepts connections; each
 /// connection gets a session reader thread that decodes frames and
@@ -84,12 +85,7 @@ struct ServerOptions {
 /// blocks.
 class Server {
  public:
-  Server(core::ViTriIndex* index, ServerOptions options);
-  /// Routing-layer variant: requests scatter-gather across the sharded
-  /// index's shards instead of one ViTriIndex. Durability (and thus
-  /// checkpoint_on_shutdown) and query tracing are single-index-only
-  /// features; the sharded path serves knn/insert/stats.
-  Server(core::ShardedViTriIndex* sharded, ServerOptions options);
+  Server(core::ShardedViTriIndex* index, ServerOptions options);
   ~Server();
 
   Server(const Server&) = delete;
@@ -178,9 +174,7 @@ class Server {
     if (options_.stage_hook) options_.stage_hook(point);
   }
 
-  /// Exactly one of these is non-null.
-  core::ViTriIndex* index_;
-  core::ShardedViTriIndex* sharded_ = nullptr;
+  core::ShardedViTriIndex* const sharded_;
   ServerOptions options_;
 
   int listen_fd_ = -1;

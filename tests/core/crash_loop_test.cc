@@ -9,12 +9,16 @@
 //   * nothing beyond what was attempted appears, and the recovered
 //     contents are an exact prefix of the insert stream,
 //   * the recovered index still answers queries and keeps ingesting.
-// A dry run with an unreachable crash op counts the points first; the
-// suite requires >= 500 distinct crash points across its workloads.
+// The same contract holds per shard for a durable ShardedViTriIndex,
+// whose workload also creates a shard mid-stream. A dry run with an
+// unreachable crash op counts the points first; the suite requires
+// >= 500 distinct crash points across its workloads.
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +26,7 @@
 
 #include "core/index.h"
 #include "core/recovery.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "storage/wal.h"
 #include "video/synthesizer.h"
@@ -100,23 +105,11 @@ struct WorkloadOutcome {
   uint64_t ticks = 0;
 };
 
-/// Runs the ingest workload against a fresh durable index in `dir`,
-/// wiring every WAL file through FaultInjectingWalFile and the crash
-/// hook into the same schedule. Returns how far it got.
-WorkloadOutcome RunWorkload(const std::string& dir,
-                            const WorkloadConfig& config,
-                            uint64_t crash_at_op) {
-  const World& w = SharedWorld();
-  WorkloadOutcome out;
-  auto schedule =
-      std::make_shared<storage::CrashSchedule>(config.seed, crash_at_op);
-
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto index = ViTriIndex::Build(w.InitialSet(), io);
-  EXPECT_TRUE(index.ok());
-  if (!index.ok()) return out;
-
+/// Durability options that wire every WAL file through
+/// FaultInjectingWalFile and the crash hook into the same schedule.
+DurabilityOptions CrashingDurability(
+    const WorkloadConfig& config,
+    const std::shared_ptr<storage::CrashSchedule>& schedule) {
   DurabilityOptions dur;
   dur.wal.sync_mode = config.sync_mode;
   dur.wal.group_commits = 3;
@@ -132,6 +125,25 @@ WorkloadOutcome RunWorkload(const std::string& dir,
   dur.crash_hook = [schedule](std::string_view) {
     return schedule->Tick();
   };
+  return dur;
+}
+
+/// Runs the ingest workload against a fresh durable index in `dir`,
+/// crashing at op `crash_at_op` of the schedule. Returns how far it got.
+WorkloadOutcome RunWorkload(const std::string& dir,
+                            const WorkloadConfig& config,
+                            uint64_t crash_at_op) {
+  const World& w = SharedWorld();
+  WorkloadOutcome out;
+  auto schedule =
+      std::make_shared<storage::CrashSchedule>(config.seed, crash_at_op);
+
+  ViTriIndexOptions io;
+  io.dimension = w.db.dimension;
+  auto index = ViTriIndex::Build(w.InitialSet(), io);
+  EXPECT_TRUE(index.ok());
+  if (!index.ok()) return out;
+  const DurabilityOptions dur = CrashingDurability(config, schedule);
 
   // Track the durability floor as the workload goes. A successful
   // Checkpoint() makes everything acked so far snapshot-durable; under
@@ -236,6 +248,184 @@ void CheckRecovery(const std::string& dir, const WorkloadOutcome& outcome) {
   }
 }
 
+// --- Sharded workload -------------------------------------------------
+// Two round-robin shards. The initial build holds only the even initial
+// videos, so shard 1 starts empty and the first odd insert creates it
+// (made durable inside Insert, before the ack). Each shard's recovery is
+// checked against its own insert substream: the videos it owns, in
+// stream order.
+
+constexpr size_t kCrashShards = 2;
+
+ViTriSet ShardedInitialSet(const World& w) {
+  ViTriSet set = w.InitialSet();
+  std::vector<ViTri> even;
+  for (const ViTri& v : set.vitris) {
+    if (v.video_id % kCrashShards == 0) even.push_back(v);
+  }
+  set.vitris = std::move(even);
+  for (size_t vid = 1; vid < set.frame_counts.size(); vid += kCrashShards) {
+    set.frame_counts[vid] = 0;
+  }
+  return set;
+}
+
+/// Exclusive end of the workload's insert stream [initial, end).
+size_t StreamEnd(const WorkloadConfig& config) {
+  const World& w = SharedWorld();
+  return std::min(w.initial + config.num_inserts, w.db.num_videos());
+}
+
+/// Per-shard counterparts of WorkloadOutcome's insert counts.
+struct ShardedOutcome {
+  std::vector<size_t> acked = std::vector<size_t>(kCrashShards, 0);
+  std::vector<size_t> durable_floor = std::vector<size_t>(kCrashShards, 0);
+  std::vector<size_t> attempted = std::vector<size_t>(kCrashShards, 0);
+  bool crashed = false;
+  uint64_t ticks = 0;
+};
+
+ShardedOutcome RunShardedWorkload(const std::string& dir,
+                                  const WorkloadConfig& config,
+                                  uint64_t crash_at_op) {
+  const World& w = SharedWorld();
+  ShardedOutcome out;
+  auto schedule =
+      std::make_shared<storage::CrashSchedule>(config.seed, crash_at_op);
+
+  ShardedIndexOptions options;
+  options.num_shards = kCrashShards;
+  options.assignment = ShardAssignment::kRoundRobin;
+  options.shard_options.dimension = w.db.dimension;
+  auto index = ShardedViTriIndex::Build(ShardedInitialSet(w), options);
+  EXPECT_TRUE(index.ok());
+  if (!index.ok()) return out;
+  EXPECT_EQ(index->live_shards(), 1u);
+
+  // As in RunWorkload, per shard: a shard's snapshot (its creation or a
+  // completed checkpoint) pins what it had acked; under group commit
+  // only the synced prefix of its WAL adds to that.
+  std::vector<size_t> floor_at_checkpoint(kCrashShards, 0);
+  const auto update_floors = [&] {
+    for (size_t s = 0; s < kCrashShards; ++s) {
+      const ViTriIndex* shard = index->shard(s);
+      if (shard == nullptr) continue;
+      out.durable_floor[s] =
+          config.sync_mode == storage::WalSyncMode::kEveryCommit
+              ? out.acked[s]
+              : floor_at_checkpoint[s] +
+                    static_cast<size_t>(shard->wal_durable_commits());
+    }
+  };
+  const auto checkpoint = [&] {
+    if (!index->Checkpoint().ok()) return false;
+    floor_at_checkpoint = out.acked;
+    update_floors();
+    return true;
+  };
+
+  if (!index->EnableDurability(dir, CrashingDurability(config, schedule))
+           .ok()) {
+    out.crashed = true;
+    out.ticks = schedule->ticks;
+    return out;
+  }
+  for (size_t vid = w.initial; vid < StreamEnd(config); ++vid) {
+    const size_t s = vid % kCrashShards;
+    const bool creates = index->shard(s) == nullptr;
+    ++out.attempted[s];
+    if (!index
+             ->Insert(static_cast<uint32_t>(vid), w.frame_counts[vid],
+                      w.per_video[vid])
+             .ok()) {
+      out.crashed = true;
+      break;
+    }
+    ++out.acked[s];
+    if (creates) floor_at_checkpoint[s] = out.acked[s];
+    update_floors();
+    const size_t done = vid - w.initial + 1;
+    if (config.checkpoint_every != 0 && done % config.checkpoint_every == 0 &&
+        !checkpoint()) {
+      out.crashed = true;
+      break;
+    }
+  }
+  if (!out.crashed && !checkpoint()) out.crashed = true;
+  out.ticks = schedule->ticks;
+  return out;
+}
+
+/// Reboot of the sharded index: the per-shard contract, then a query
+/// and an insert.
+void CheckShardedRecovery(const std::string& dir, const WorkloadConfig& config,
+                          const ShardedOutcome& outcome) {
+  const World& w = SharedWorld();
+  auto index = ShardedViTriIndex::Open(dir, {});
+  if (!index.ok() && index.status().IsNotFound()) {
+    // Power died inside EnableDurability before the manifest landed.
+    EXPECT_EQ(outcome.acked, std::vector<size_t>(kCrashShards, 0));
+    return;
+  }
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  ASSERT_TRUE(index->ValidateInvariants().ok());
+  ASSERT_EQ(index->num_shards(), kCrashShards);
+
+  std::set<uint32_t> recovered_anywhere;
+  for (size_t s = 0; s < kCrashShards; ++s) {
+    // What shard s started with (shard 0 holds every built video), and
+    // its insert substream.
+    std::set<uint32_t> initial;
+    size_t vitris = 0;
+    for (size_t vid = 0; s == 0 && vid < w.initial; vid += kCrashShards) {
+      initial.insert(static_cast<uint32_t>(vid));
+      vitris += w.per_video[vid].size();
+    }
+    std::vector<uint32_t> stream;
+    for (size_t vid = w.initial; vid < StreamEnd(config); ++vid) {
+      if (vid % kCrashShards == s) stream.push_back(static_cast<uint32_t>(vid));
+    }
+
+    std::set<uint32_t> inserted;
+    size_t shard_vitris = 0;
+    if (const ViTriIndex* shard = index->shard(s)) {
+      const ViTriSet contents = shard->Snapshot();
+      shard_vitris = contents.vitris.size();
+      for (uint32_t vid = 0; vid < contents.frame_counts.size(); ++vid) {
+        if (contents.frame_counts[vid] == 0) continue;
+        if (initial.erase(vid) == 0) inserted.insert(vid);
+      }
+    }
+    EXPECT_TRUE(initial.empty()) << "shard " << s << " lost a built video";
+    const size_t m = inserted.size();
+    EXPECT_GE(m, outcome.durable_floor[s])
+        << "shard " << s << " lost a durably acked insert";
+    EXPECT_LE(m, outcome.attempted[s])
+        << "shard " << s << " invented an insert";
+    ASSERT_LE(m, stream.size());
+    EXPECT_EQ(inserted, std::set<uint32_t>(stream.begin(), stream.begin() + m))
+        << "shard " << s << " is not an exact prefix of its insert stream";
+    for (size_t i = 0; i < m; ++i) vitris += w.per_video[stream[i]].size();
+    EXPECT_EQ(shard_vitris, vitris) << "shard " << s;
+    recovered_anywhere.insert(inserted.begin(), inserted.end());
+  }
+
+  // Still a working index: answers a query and accepts the first
+  // stream video no shard recovered.
+  auto matches = index->Knn(w.per_video[0], w.frame_counts[0], 3,
+                            KnnMethod::kComposed);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_FALSE(matches->empty());
+  for (size_t vid = w.initial; vid < w.db.num_videos(); ++vid) {
+    if (recovered_anywhere.count(static_cast<uint32_t>(vid)) != 0) continue;
+    ASSERT_TRUE(index
+                    ->Insert(static_cast<uint32_t>(vid), w.frame_counts[vid],
+                             w.per_video[vid])
+                    .ok());
+    break;
+  }
+}
+
 /// The six workload shapes the suite exhausts; the coverage gate below
 /// dry-runs this same table, so adding or shrinking a config moves both.
 struct NamedConfig {
@@ -264,25 +454,70 @@ std::vector<NamedConfig> SuiteConfigs() {
   };
 }
 
+/// The sharded workload's shapes: both sync modes, each with periodic
+/// checkpoints, so shard creation lands between checkpoints.
+std::vector<NamedConfig> ShardedSuiteConfigs() {
+  auto make = [](storage::WalSyncMode mode, size_t ckpt, uint64_t seed) {
+    WorkloadConfig c;
+    c.sync_mode = mode;
+    c.checkpoint_every = ckpt;
+    c.num_inserts = 16;
+    c.seed = seed;
+    return c;
+  };
+  using storage::WalSyncMode;
+  return {
+      {"sharded_ec", make(WalSyncMode::kEveryCommit, 3, 66)},
+      {"sharded_gc", make(WalSyncMode::kGrouped, 4, 77)},
+  };
+}
+
+/// Dry-run tick counts of every config of both tables.
+uint64_t CountSuiteCrashPoints() {
+  constexpr uint64_t kNever = 1ull << 60;
+  uint64_t total = 0;
+  for (const NamedConfig& named : SuiteConfigs()) {
+    const WorkloadOutcome dry = RunWorkload(
+        TempPath(std::string("crash_count_") + named.tag), named.config,
+        kNever);
+    EXPECT_FALSE(dry.crashed) << named.tag;
+    total += dry.ticks;
+  }
+  for (const NamedConfig& named : ShardedSuiteConfigs()) {
+    const std::string dir = TempPath(std::string("crash_count_") + named.tag);
+    std::filesystem::remove_all(dir);
+    const ShardedOutcome dry = RunShardedWorkload(dir, named.config, kNever);
+    EXPECT_FALSE(dry.crashed) << named.tag;
+    total += dry.ticks;
+  }
+  return total;
+}
+
 class CrashLoopTest : public ::testing::Test {
  protected:
-  /// Dry-runs the workload to count crash points, then crashes at every
-  /// one of them and checks recovery. Returns the number of points.
-  uint64_t ExhaustCrashPoints(const std::string& tag,
-                              const WorkloadConfig& config) {
-    const WorkloadOutcome dry =
-        RunWorkload(TempPath("crash_dry_" + tag), config,
-                    /*crash_at_op=*/1ull << 60);
+  /// Dry-runs a workload to count crash points, then crashes at every
+  /// one of them and checks recovery. `run(dir, op)` returns an outcome
+  /// with `crashed` and `ticks`; `check(dir, outcome)` reboots. Every
+  /// run gets a fresh directory. Returns the number of points.
+  template <typename Run, typename Check>
+  uint64_t ExhaustCrashPoints(const std::string& tag, const Run& run,
+                              const Check& check) {
+    const auto fresh = [](const std::string& name) {
+      const std::string dir = TempPath(name);
+      std::filesystem::remove_all(dir);
+      return dir;
+    };
+    const auto dry = run(fresh("crash_dry_" + tag), /*crash_at_op=*/1ull << 60);
     EXPECT_FALSE(dry.crashed) << tag << ": dry run must complete";
     EXPECT_GT(dry.ticks, 0u);
     for (uint64_t op = 0; op < dry.ticks; ++op) {
       const std::string dir =
-          TempPath("crash_" + tag + "_" + std::to_string(op));
-      const WorkloadOutcome outcome = RunWorkload(dir, config, op);
+          fresh("crash_" + tag + "_" + std::to_string(op));
+      const auto outcome = run(dir, op);
       EXPECT_TRUE(outcome.crashed)
           << tag << ": op " << op << " of " << dry.ticks
           << " did not crash";
-      CheckRecovery(dir, outcome);
+      check(dir, outcome);
       if (::testing::Test::HasFatalFailure()) return 0;
     }
     return dry.ticks;
@@ -290,7 +525,25 @@ class CrashLoopTest : public ::testing::Test {
 
   void ExhaustConfig(size_t i) {
     const NamedConfig named = SuiteConfigs().at(i);
-    const uint64_t points = ExhaustCrashPoints(named.tag, named.config);
+    const uint64_t points = ExhaustCrashPoints(
+        named.tag,
+        [&](const std::string& dir, uint64_t op) {
+          return RunWorkload(dir, named.config, op);
+        },
+        CheckRecovery);
+    EXPECT_GT(points, 0u) << named.tag;
+  }
+
+  void ExhaustShardedConfig(size_t i) {
+    const NamedConfig named = ShardedSuiteConfigs().at(i);
+    const uint64_t points = ExhaustCrashPoints(
+        named.tag,
+        [&](const std::string& dir, uint64_t op) {
+          return RunShardedWorkload(dir, named.config, op);
+        },
+        [&](const std::string& dir, const ShardedOutcome& outcome) {
+          CheckShardedRecovery(dir, named.config, outcome);
+        });
     EXPECT_GT(points, 0u) << named.tag;
   }
 };
@@ -319,20 +572,21 @@ TEST_F(CrashLoopTest, EveryCommitSyncDenseCheckpoints) {
   ExhaustConfig(5);
 }
 
+TEST_F(CrashLoopTest, ShardedEveryCommitSyncCreatesAShard) {
+  ExhaustShardedConfig(0);
+}
+
+TEST_F(CrashLoopTest, ShardedGroupCommitCreatesAShard) {
+  ExhaustShardedConfig(1);
+}
+
 // The coverage contract: the tests above crash at every fault point of
-// every config in SuiteConfigs(), and those points must number >= 500.
-// Counted with crash-free dry runs so the check is self-contained even
-// when ctest runs each test in its own process.
+// every config in SuiteConfigs() and ShardedSuiteConfigs(), and those
+// points must number >= 500. Counted with crash-free dry runs so the
+// check is self-contained even when ctest runs each test in its own
+// process.
 TEST_F(CrashLoopTest, SuiteCoversAtLeast500CrashPoints) {
-  uint64_t total_points = 0;
-  for (const NamedConfig& named : SuiteConfigs()) {
-    const WorkloadOutcome dry =
-        RunWorkload(TempPath(std::string("crash_count_") + named.tag),
-                    named.config, /*crash_at_op=*/1ull << 60);
-    ASSERT_FALSE(dry.crashed) << named.tag;
-    total_points += dry.ticks;
-  }
-  EXPECT_GE(total_points, 500u)
+  EXPECT_GE(CountSuiteCrashPoints(), 500u)
       << "crash-loop coverage shrank below the contract";
 }
 

@@ -242,6 +242,72 @@ TEST(ViTriIndexTest, DynamicInsertThenQuery) {
   EXPECT_GT((*results)[0].similarity, 0.9);
 }
 
+TEST(ViTriIndexTest, StoredVideosSkipsIdGapsAndCountsReinsertsOnce) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const size_t stored = index->stored_videos();
+  EXPECT_EQ(stored, w.db.num_videos());
+
+  // An id five past the end: num_videos() is the id-space extent and
+  // grows by six, stored_videos() by one.
+  const auto extent = static_cast<uint32_t>(index->num_videos());
+  const uint32_t id = extent + 5;
+  std::vector<ViTri> summary = QuerySummary(w.db.videos[0]);
+  for (ViTri& v : summary) v.video_id = id;
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  ASSERT_TRUE(index->Insert(id, frames, summary).ok());
+  EXPECT_EQ(index->num_videos(), extent + 6u);
+  EXPECT_EQ(index->stored_videos(), stored + 1);
+
+  // Re-inserting a stored id adds ViTris but no video; lowering its
+  // frame count below its stored clusters is rejected.
+  const size_t vitris = index->num_vitris();
+  ASSERT_TRUE(index->Insert(id, frames, summary).ok());
+  EXPECT_EQ(index->stored_videos(), stored + 1);
+  EXPECT_EQ(index->num_vitris(), vitris + summary.size());
+  const Status shrunk = index->Insert(id, frames - 1, {});
+  EXPECT_TRUE(shrunk.IsInvalidArgument()) << shrunk.ToString();
+  EXPECT_EQ(index->stored_videos(), stored + 1);
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+}
+
+TEST(ViTriIndexTest, InsertRejectsViTrisThatWouldCorruptTheIndex) {
+  World w = MakeWorld();
+  auto index = ViTriIndex::Build(w.set, DefaultOptions());
+  ASSERT_TRUE(index.ok());
+  const std::string dir = ::testing::TempDir() + "/index_insert_rejects";
+  ASSERT_TRUE(index->EnableDurability(dir).ok());
+  const auto id = static_cast<uint32_t>(index->num_videos());
+  std::vector<ViTri> summary = QuerySummary(w.db.videos[0]);
+  for (ViTri& v : summary) v.video_id = id;
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  // Each bad summary: one ViTri filed under the previous video, one
+  // radius beyond epsilon/2 (outside every query's key range), and one
+  // cluster larger than the video.
+  std::vector<std::vector<ViTri>> bad(3, summary);
+  bad[0].back().video_id = id - 1;
+  bad[1].back().radius = 0.9;
+  bad[2].back().cluster_size = frames + 1;
+  const size_t vitris = index->num_vitris();
+  const uint64_t commits = index->wal_commits();
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const Status st = index->Insert(id, frames, bad[i]);
+    EXPECT_TRUE(st.IsInvalidArgument()) << i << ": " << st.ToString();
+    EXPECT_EQ(index->num_vitris(), vitris) << i;
+    EXPECT_EQ(index->wal_commits(), commits) << i;
+  }
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+  // The good summary still goes in, and Knn finds it next to video 0,
+  // whose summary it copies (the tie ranks video 0 first).
+  ASSERT_TRUE(index->Insert(id, frames, summary).ok());
+  auto matches = index->Knn(summary, frames, 2, KnnMethod::kComposed);
+  ASSERT_TRUE(matches.ok());
+  ASSERT_EQ(matches->size(), 2u);
+  EXPECT_EQ((*matches)[1].video_id, id);
+}
+
 TEST(ViTriIndexTest, RebuildPreservesResults) {
   World w = MakeWorld();
   auto index = ViTriIndex::Build(w.set, DefaultOptions());

@@ -1,6 +1,9 @@
 // Durable index directory: CURRENT codec, generation file naming,
 // EnableDurability/Open round trips, checkpoint rotation + GC, torn-log
-// repair on open, and dimension adoption from the snapshot.
+// repair on open, and dimension adoption from the snapshot. The
+// ShardedRecoveryTest half covers the sharded layout: one durable
+// ViTriIndex per shard under shard-<i>/, committed by the SHARDS
+// manifest.
 
 #include "core/recovery.h"
 
@@ -8,6 +11,7 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
@@ -16,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "core/index.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "storage/wal.h"
 #include "video/synthesizer.h"
@@ -349,6 +354,227 @@ TEST(RecoveryTest, OpenWithoutCurrentIsNotFound) {
   auto index = ViTriIndex::Open(dir, ViTriIndexOptions{});
   ASSERT_FALSE(index.ok());
   EXPECT_TRUE(index.status().IsNotFound());
+}
+
+// --- Sharded layout --------------------------------------------------
+
+/// A path at `name` with the leftovers of an earlier run removed.
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Three round-robin shards over the initial videos whose id is not 2
+/// mod 3, so shard 2 starts empty and the first such insert creates it.
+constexpr size_t kShards = 3;
+
+ShardedIndexOptions ThreeShards(const World& w) {
+  ShardedIndexOptions options;
+  options.num_shards = kShards;
+  options.assignment = ShardAssignment::kRoundRobin;
+  options.shard_options.dimension = w.db.dimension;
+  return options;
+}
+
+ViTriSet InitialSetWithoutShard2(const World& w) {
+  ViTriSet set = w.InitialSet();
+  std::vector<ViTri> kept;
+  for (const ViTri& v : set.vitris) {
+    if (v.video_id % kShards != 2) kept.push_back(v);
+  }
+  set.vitris = std::move(kept);
+  for (uint32_t vid = 2; vid < set.frame_counts.size(); vid += kShards) {
+    set.frame_counts[vid] = 0;
+  }
+  return set;
+}
+
+Status InsertVideo(ShardedViTriIndex* index, const World& w, size_t vid) {
+  return index->Insert(static_cast<uint32_t>(vid),
+                       static_cast<uint32_t>(w.db.videos[vid].num_frames()),
+                       w.per_video[vid]);
+}
+
+TEST(ShardedRecoveryTest, EnableDurabilityThenOpenRoundTrips) {
+  const World& w = SharedWorld();
+  const std::string dir = FreshDir("sharded_roundtrip");
+  auto index = ShardedViTriIndex::Build(InitialSetWithoutShard2(w),
+                                        ThreeShards(w));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 2u);
+  const size_t initial_videos = index->num_videos();
+  EXPECT_FALSE(index->durable());
+  ASSERT_TRUE(index->EnableDurability(dir).ok());
+  EXPECT_TRUE(index->durable());
+  EXPECT_EQ(index->generation(), 1u);
+  EXPECT_FALSE(index->EnableDurability(dir).ok());  // Already durable.
+  EXPECT_EQ(ListDir(dir),
+            (std::set<std::string>{"SHARDS", "shard-0", "shard-1"}));
+
+  // Three inserts, one per shard: the one owned by shard 2 creates it,
+  // durably, in its own generation-1 snapshot.
+  std::vector<size_t> inserted;
+  for (size_t vid = w.initial; inserted.size() < 3; ++vid) {
+    ASSERT_LT(vid, w.db.num_videos());
+    ASSERT_TRUE(InsertVideo(&*index, w, vid).ok()) << vid;
+    inserted.push_back(vid);
+  }
+  EXPECT_EQ(index->live_shards(), 3u);
+  EXPECT_TRUE(FileExists(dir + "/shard-2/CURRENT"));
+  EXPECT_EQ(index->wal_commits(), 2u);  // The creating insert is no commit.
+
+  RecoveryStats stats;
+  auto reopened = ShardedViTriIndex::Open(dir, {}, {}, &stats);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->num_shards(), kShards);
+  EXPECT_EQ(reopened->assignment(), ShardAssignment::kRoundRobin);
+  EXPECT_EQ(reopened->live_shards(), 3u);
+  EXPECT_TRUE(reopened->durable());
+  EXPECT_EQ(stats.generation, 1u);
+  EXPECT_EQ(stats.wal_commits_replayed, 2u);
+  EXPECT_EQ(stats.snapshot_videos, initial_videos + 1);
+  EXPECT_EQ(stats.recovered_videos, initial_videos + 3);
+  EXPECT_EQ(stats.recovered_vitris, index->num_vitris());
+  EXPECT_EQ(reopened->num_videos(), index->num_videos());
+  EXPECT_EQ(reopened->num_vitris(), index->num_vitris());
+  ASSERT_TRUE(reopened->ValidateInvariants().ok());
+
+  for (const size_t vid : inserted) {
+    const auto frames = static_cast<uint32_t>(w.db.videos[vid].num_frames());
+    auto live = index->Knn(w.per_video[vid], frames, 5, KnnMethod::kComposed);
+    auto recovered =
+        reopened->Knn(w.per_video[vid], frames, 5, KnnMethod::kComposed);
+    ASSERT_TRUE(live.ok());
+    ASSERT_TRUE(recovered.ok());
+    ASSERT_EQ(live->size(), recovered->size());
+    for (size_t i = 0; i < live->size(); ++i) {
+      EXPECT_EQ((*live)[i].video_id, (*recovered)[i].video_id);
+      EXPECT_DOUBLE_EQ((*live)[i].similarity, (*recovered)[i].similarity);
+    }
+  }
+}
+
+TEST(ShardedRecoveryTest, CheckpointAndSyncReachEveryShard) {
+  const World& w = SharedWorld();
+  const std::string dir = FreshDir("sharded_checkpoint");
+  auto index = ShardedViTriIndex::Build(w.InitialSet(), ThreeShards(w));
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(index->Checkpoint().IsInvalidArgument());  // Not durable.
+  storage::WalOptions grouped;
+  grouped.sync_mode = storage::WalSyncMode::kGrouped;
+  grouped.group_commits = 100;
+  DurabilityOptions durability;
+  durability.wal = grouped;
+  ASSERT_TRUE(index->EnableDurability(dir, durability).ok());
+  for (size_t vid = w.initial; vid < w.initial + 3; ++vid) {
+    ASSERT_TRUE(InsertVideo(&*index, w, vid).ok());
+  }
+  EXPECT_EQ(index->wal_commits(), 3u);
+  EXPECT_EQ(index->wal_durable_commits(), 0u);
+  ASSERT_TRUE(index->SyncWal().ok());
+  EXPECT_EQ(index->wal_durable_commits(), 3u);
+  ASSERT_TRUE(index->Checkpoint().ok());
+  EXPECT_EQ(index->generation(), 2u);
+  EXPECT_EQ(index->wal_commits(), 0u);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(index->shard(s)->generation(), 2u) << s;
+  }
+  RecoveryStats stats;
+  auto reopened = ShardedViTriIndex::Open(dir, {}, durability, &stats);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(stats.wal_commits_replayed, 0u);
+  EXPECT_EQ(reopened->num_videos(), w.initial + 3);
+}
+
+TEST(ShardedRecoveryTest, ManifestIsTheCommitPointAndIsValidated) {
+  const World& w = SharedWorld();
+  const std::string dir = FreshDir("sharded_manifest");
+  {
+    auto index = ShardedViTriIndex::Build(w.InitialSet(), ThreeShards(w));
+    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(index->EnableDurability(dir).ok());
+  }
+  const std::string manifest = dir + "/" + kShardManifestFileName;
+  std::string body;
+  {
+    std::ifstream in(manifest);
+    std::getline(in, body, '\0');
+  }
+  EXPECT_EQ(body, "shards 3\nassignment round-robin\n");
+
+  // The manifest wins over the options; a disagreeing count is refused.
+  ShardedIndexOptions options;
+  options.num_shards = kShards;
+  EXPECT_TRUE(ShardedViTriIndex::Open(dir, options).ok());
+  options.num_shards = 2;
+  EXPECT_TRUE(ShardedViTriIndex::Open(dir, options).status()
+                  .IsInvalidArgument());
+
+  // Shard directories without the manifest were never committed.
+  ASSERT_EQ(std::remove(manifest.c_str()), 0);
+  EXPECT_TRUE(ShardedViTriIndex::Open(dir, {}).status().IsNotFound());
+
+  for (const char* bad :
+       {"", "shards 0\nassignment hash\n", "shards 1025\nassignment hash\n",
+        "shards -3\nassignment hash\n", "shards 3x\nassignment hash\n",
+        "shards 99999999999999999999999\nassignment hash\n",
+        "shards 3\nassignment zigzag\n",
+        "shards 3\nassignment hash\nshards 4\n",
+        "assignment hash\nshards 3\n"}) {
+    std::ofstream(manifest, std::ios::trunc) << bad;
+    const Status st = ShardedViTriIndex::Open(dir, {}).status();
+    EXPECT_TRUE(st.IsCorruption()) << "'" << bad << "': " << st.ToString();
+  }
+}
+
+TEST(ShardedRecoveryTest, GlobalReferencePointsAreNotDurable) {
+  const World& w = SharedWorld();
+  const std::string dir = FreshDir("sharded_global");
+  ShardedIndexOptions options = ThreeShards(w);
+  options.local_reference_points = false;
+  auto index = ShardedViTriIndex::Build(w.InitialSet(), options);
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(index->EnableDurability(dir).IsInvalidArgument());
+  EXPECT_FALSE(index->durable());
+  EXPECT_TRUE(
+      ShardedViTriIndex::Open(dir, options).status().IsInvalidArgument());
+}
+
+TEST(ShardedRecoveryTest, ShardDirectoryWithoutCurrentIsAnEmptyShard) {
+  const World& w = SharedWorld();
+  const std::string dir = FreshDir("sharded_empty_shard");
+  {
+    auto index = ShardedViTriIndex::Build(InitialSetWithoutShard2(w),
+                                          ThreeShards(w));
+    ASSERT_TRUE(index.ok());
+    ASSERT_TRUE(index->EnableDurability(dir).ok());
+  }
+  // What power loss inside shard 2's creation leaves: files, no CURRENT.
+  ASSERT_EQ(::mkdir((dir + "/shard-2").c_str(), 0755), 0);
+  std::ofstream(dir + "/shard-2/snapshot-1.vsnp.pending") << "half-written";
+  std::ofstream(dir + "/shard-2/wal-1.vlog") << "never reachable";
+
+  size_t vid = w.initial;
+  while (vid % kShards != 2) ++vid;
+  ASSERT_LT(vid, w.db.num_videos());
+  {
+    auto index = ShardedViTriIndex::Open(dir, {});
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    EXPECT_EQ(index->live_shards(), 2u);
+    ASSERT_TRUE(index->ValidateInvariants().ok());
+    // The next insert owned by shard 2 creates it over the leftovers.
+    ASSERT_TRUE(InsertVideo(&*index, w, vid).ok());
+    EXPECT_EQ(index->live_shards(), 3u);
+  }
+  auto index = ShardedViTriIndex::Open(dir, {});
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ(index->live_shards(), 3u);
+  EXPECT_EQ(index->shard_videos(2), 1u);
+  ASSERT_TRUE(index->ValidateInvariants().ok());
+  EXPECT_EQ(ListDir(dir + "/shard-2"),
+            (std::set<std::string>{"CURRENT", "snapshot-1.vsnp",
+                                   "wal-1.vlog"}));
 }
 
 }  // namespace

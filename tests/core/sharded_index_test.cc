@@ -7,8 +7,9 @@
 // batch or per-query execution. Around that: shard routing, lazy shard
 // creation, env resolution, the out-of-core builder, the clustered
 // local-vs-global pruning regression, seeded-corruption validator
-// checks, and the tsan scatter-gather stress fixture
-// (ShardedConcurrencyTest, run in the tsan-stress CI lane).
+// checks, traced batches, insert admission, and the tsan scatter-gather
+// stress fixture (ShardedConcurrencyTest, run in the tsan-stress CI
+// lane), durable or not.
 
 #include <atomic>
 #include <chrono>
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
@@ -374,6 +376,88 @@ TEST(ShardedIndexTest, InsertRoutesToOwnerShardAndCreatesItLazily) {
   }
 }
 
+TEST(ShardedIndexTest, InsertRejectsViTrisThatWouldCorruptTheIndex) {
+  // Shard 1 of 2 (round-robin) starts empty, so odd ids test the
+  // shard-creating path and even ids the existing-shard path.
+  World w = MakeWorld(0);
+  ViTriSet part;
+  part.dimension = w.set.dimension;
+  part.frame_counts.assign(w.set.frame_counts.size(), 0);
+  for (const ViTri& v : w.set.vitris) {
+    if (v.video_id % 2 == 0) part.vitris.push_back(v);
+  }
+  for (uint32_t vid = 0; vid < w.set.frame_counts.size(); vid += 2) {
+    part.frame_counts[vid] = w.set.frame_counts[vid];
+  }
+  auto index = ShardedViTriIndex::Build(
+      part, Sharded(w, 2, ShardAssignment::kRoundRobin));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 1u);
+  const std::string dir = ::testing::TempDir() + "/sharded_insert_rejects";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(index->EnableDurability(dir).ok());
+  const size_t vitris = index->num_vitris();
+  const uint64_t commits = index->wal_commits();
+
+  std::vector<ViTri> summary;
+  for (const ViTri& v : w.set.vitris) {
+    if (v.video_id == 0) summary.push_back(v);
+  }
+  const uint32_t frames = w.set.frame_counts[0];
+  const auto first = static_cast<uint32_t>(w.set.frame_counts.size());
+  for (const uint32_t id : {first, first + 1}) {
+    std::vector<ViTri> good = summary;
+    for (ViTri& v : good) v.video_id = id;
+    std::vector<std::vector<ViTri>> bad(2, good);
+    bad[0].back().video_id = id - 1;  // Another video's ViTri.
+    bad[1].back().radius = 0.9;       // Beyond epsilon/2.
+    for (size_t i = 0; i < bad.size(); ++i) {
+      const Status st = index->Insert(id, frames, bad[i]);
+      EXPECT_TRUE(st.IsInvalidArgument()) << id << "/" << i << ": "
+                                          << st.ToString();
+      EXPECT_EQ(index->num_vitris(), vitris) << id << "/" << i;
+      EXPECT_EQ(index->wal_commits(), commits) << id << "/" << i;
+    }
+  }
+  EXPECT_EQ(index->live_shards(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/shard-1"));
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+}
+
+TEST(ShardedIndexTest, BatchKnnTracesEveryShardInShardOrder) {
+  World w = MakeWorld(3);
+  for (const size_t shards : {size_t{1}, size_t{3}}) {
+    auto index = ShardedViTriIndex::Build(
+        w.set, Sharded(w, shards, ShardAssignment::kRoundRobin));
+    ASSERT_TRUE(index.ok());
+    ASSERT_EQ(index->live_shards(), shards);
+    auto plain = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2);
+    std::vector<QueryTrace> traces;
+    auto traced = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2,
+                                  nullptr, &traces);
+    ASSERT_TRUE(plain.ok());
+    ASSERT_TRUE(traced.ok());
+    ASSERT_EQ(traces.size(), w.queries.size());
+    for (size_t q = 0; q < w.queries.size(); ++q) {
+      ExpectSameResults((*plain)[q], (*traced)[q], "traced");
+      // Each shard contributes its own transform..rank spans, grouped
+      // in shard order.
+      std::vector<uint32_t> seen;
+      for (const TraceSpan& span : traces[q].spans()) {
+        if (seen.empty() || seen.back() != span.shard) {
+          seen.push_back(span.shard);
+        }
+        EXPECT_LE(span.start_seconds, traces[q].total_seconds());
+      }
+      std::vector<uint32_t> expected(shards);
+      for (size_t s = 0; s < shards; ++s) {
+        expected[s] = static_cast<uint32_t>(s);
+      }
+      EXPECT_EQ(seen, expected) << "query " << q;
+    }
+  }
+}
+
 TEST(ShardedIndexTest, ResolveIndexShardsFlagBeatsEnvBeatsOne) {
   const char* saved = std::getenv("VITRI_INDEX_SHARDS");
   const std::string saved_value = saved != nullptr ? saved : "";
@@ -725,7 +809,12 @@ TEST(OutOfCoreTest, FinishingAnEmptyBuilderFails) {
 
 // --- Scatter-gather concurrency (tsan-stress CI lane) ---------------
 
-TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
+/// Two BatchKnn readers race two writers whose inserts create shards 2
+/// and 3 mid-flight. With a non-empty `durable_dir` the index is durable
+/// there, so each created shard is made durable under the wrapper latch
+/// while a third thread checkpoints, and the directory must reopen to
+/// the same contents.
+void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir) {
   World w = MakeWorld(6);
   // Start with shards {0,1} populated; shards 2 and 3 are created
   // lazily by the insert threads while queries are in flight, covering
@@ -743,6 +832,9 @@ TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
       part, Sharded(w, 4, ShardAssignment::kRoundRobin));
   ASSERT_TRUE(index.ok());
   ASSERT_EQ(index->live_shards(), 2u);
+  if (!durable_dir.empty()) {
+    ASSERT_TRUE(index->EnableDurability(durable_dir).ok());
+  }
 
   std::atomic<bool> stop{false};
   std::atomic<int> query_failures{0};
@@ -790,12 +882,24 @@ TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
       (void)stop;
     });
   }
+  std::atomic<int> checkpoint_failures{0};
+  std::thread checkpointer([&] {
+    while (!durable_dir.empty() && !stop.load(std::memory_order_relaxed)) {
+      if (!index->Checkpoint().ok()) {
+        checkpoint_failures.fetch_add(1);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   for (std::thread& writer : writers) writer.join();
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
+  checkpointer.join();
 
   EXPECT_EQ(query_failures.load(), 0);
   EXPECT_EQ(insert_failures.load(), 0);
+  EXPECT_EQ(checkpoint_failures.load(), 0);
   EXPECT_EQ(index->live_shards(), 4u);
   EXPECT_EQ(index->num_vitris(), w.set.vitris.size());
   EXPECT_TRUE(index->ValidateInvariants().ok());
@@ -815,6 +919,23 @@ TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
     ASSERT_TRUE(actual.ok());
     ExpectSameResults(*expected, *actual, "post-stress");
   }
+  if (!durable_dir.empty()) {
+    auto reopened = ShardedViTriIndex::Open(durable_dir, {});
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened->live_shards(), 4u);
+    EXPECT_EQ(reopened->num_vitris(), w.set.vitris.size());
+    EXPECT_TRUE(reopened->ValidateInvariants().ok());
+  }
+}
+
+TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
+  RunConcurrentBatchKnnAndInsert("");
+}
+
+TEST(ShardedConcurrencyTest, DurableShardCreationRacesCheckpoints) {
+  const std::string dir = ::testing::TempDir() + "/sharded_durable_stress";
+  std::filesystem::remove_all(dir);
+  RunConcurrentBatchKnnAndInsert(dir);
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 //     deadline is re-checked between the per-query stages of execution;
 //   * graceful shutdown — Shutdown() stops admission (kShuttingDown) but
 //     drains every queued and in-flight request, so no admitted request
-//     ever loses its ack.
+//     ever loses its ack, and checkpoints a durable index so inserts
+//     acked inside a group-commit window survive;
+//   * sampled tracing — trace_every records per-shard spans into the
+//     stats document.
 //
 // Determinism comes from ServerOptions::stage_hook: a Gate parks worker
 // threads at a named point ("worker.dequeue" / "worker.execute") so tests
@@ -24,14 +27,17 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <filesystem>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
+#include "common/json.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "serving/client.h"
 #include "video/synthesizer.h"
@@ -62,10 +68,14 @@ World MakeWorld(double scale = 0.004, double epsilon = 0.15,
   return w;
 }
 
-core::ViTriIndexOptions DefaultOptions(double epsilon = 0.15) {
-  core::ViTriIndexOptions options;
-  options.epsilon = epsilon;
-  options.dimension = 64;
+/// The server's index; one shard unless a test asks for more. Round-robin
+/// so a test can place videos in a known shard.
+core::ShardedIndexOptions DefaultOptions(size_t num_shards = 1) {
+  core::ShardedIndexOptions options;
+  options.num_shards = num_shards;
+  options.assignment = core::ShardAssignment::kRoundRobin;
+  options.shard_options.epsilon = 0.15;
+  options.shard_options.dimension = 64;
   return options;
 }
 
@@ -112,7 +122,8 @@ class Gate {
   bool open_ = false;
 };
 
-/// Temp dir holding the unix socket; removed on scope exit.
+/// Temp dir holding the unix socket (and a durable index, if a test
+/// puts one there); removed on scope exit.
 class ScopedDir {
  public:
   ScopedDir() {
@@ -120,12 +131,10 @@ class ScopedDir {
     if (mkdtemp(tmpl) != nullptr) path_ = tmpl;
   }
   ~ScopedDir() {
-    if (!path_.empty()) {
-      unlink((path_ + "/vitrid.sock").c_str());
-      rmdir(path_.c_str());
-    }
+    if (!path_.empty()) std::filesystem::remove_all(path_);
   }
   std::string socket_path() const { return path_ + "/vitrid.sock"; }
+  std::string index_dir() const { return path_ + "/index"; }
   bool ok() const { return !path_.empty(); }
 
  private:
@@ -189,7 +198,7 @@ TEST(ServingLifecycleTest, PingAndShutdownRequestRoundTrip) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
   World w = MakeWorld();
-  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
 
   ServerOptions opts;
@@ -218,7 +227,7 @@ TEST(ServingLifecycleTest, AdmissionRejectsWithOverloadedWhenQueueIsFull) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
   World w = MakeWorld();
-  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
   const auto query = QuerySummary(w.db.videos[0]);
   const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
@@ -273,7 +282,7 @@ TEST(ServingLifecycleTest, DeadlineLapsedInQueueIsAnsweredAtDequeue) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
   World w = MakeWorld();
-  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
   const auto query = QuerySummary(w.db.videos[0]);
   const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
@@ -322,7 +331,7 @@ TEST(ServingLifecycleTest, DeadlineIsRecheckedBetweenExecutionStages) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
   World w = MakeWorld();
-  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
   const auto query = QuerySummary(w.db.videos[0]);
   const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
@@ -364,7 +373,7 @@ TEST(ServingLifecycleTest, GracefulShutdownDrainsInFlightWithoutDroppedAcks) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());
   World w = MakeWorld();
-  auto index = core::ViTriIndex::Build(w.set, DefaultOptions());
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions());
   ASSERT_TRUE(index.ok());
   const auto query = QuerySummary(w.db.videos[0]);
   const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
@@ -439,6 +448,143 @@ TEST(ServingLifecycleTest, GracefulShutdownDrainsInFlightWithoutDroppedAcks) {
 
   // The drained server rejects late connections outright.
   EXPECT_FALSE(Client::ConnectUnix(dir.socket_path()).ok());
+}
+
+/// A video the index has not seen yet: `source`'s summary relabelled as
+/// `video_id`.
+InsertRequest MakeInsert(const std::vector<core::ViTri>& source,
+                         uint32_t frames, uint32_t video_id,
+                         uint64_t request_id) {
+  InsertRequest req;
+  req.request_id = request_id;
+  req.video_id = video_id;
+  req.num_frames = frames;
+  req.dimension = static_cast<uint32_t>(source.front().dimension());
+  req.vitris = source;
+  for (core::ViTri& v : req.vitris) v.video_id = video_id;
+  return req;
+}
+
+TEST(ServingLifecycleTest, TraceEveryRecordsSpansOfEveryShard) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(2));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 2u);
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  opts.trace_every = 1;
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  auto resp = client->Knn(MakeKnn(query, frames, 1));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->head.status, WireStatus::kOk);
+
+  // The traced request's spans come from both shards, each tagged.
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::JsonValue* traces = stats->Find("recent_traces");
+  ASSERT_NE(traces, nullptr);
+  ASSERT_EQ(traces->array.size(), 1u);
+  const json::JsonValue* spans = traces->array[0].Find("spans");
+  ASSERT_NE(spans, nullptr);
+  std::set<double> shards;
+  for (const json::JsonValue& span : spans->array) {
+    const json::JsonValue* shard = span.Find("shard");
+    ASSERT_NE(shard, nullptr);
+    shards.insert(shard->number);
+  }
+  EXPECT_EQ(shards, (std::set<double>{0.0, 1.0}));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServingLifecycleTest, ShutdownCheckpointsADurableShardedIndex) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(2));
+  ASSERT_TRUE(index.ok());
+  // Group commit with a window wider than the test's inserts: without
+  // the shutdown checkpoint none of them would be durable.
+  core::DurabilityOptions durability;
+  durability.wal.sync_mode = storage::WalSyncMode::kGrouped;
+  durability.wal.group_commits = 1000;
+  durability.wal.group_bytes = 1 << 30;
+  ASSERT_TRUE(index->EnableDurability(dir.index_dir(), durability).ok());
+  const uint64_t generation = index->generation();
+  const size_t videos = index->num_videos();
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  ASSERT_TRUE(opts.checkpoint_on_shutdown);
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  const auto summary = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  const auto first_new = static_cast<uint32_t>(w.set.frame_counts.size());
+  {
+    auto client = Client::ConnectUnix(dir.socket_path());
+    ASSERT_TRUE(client.ok());
+    for (uint32_t i = 0; i < 4; ++i) {  // Two inserts per shard.
+      auto ack = client->Insert(MakeInsert(summary, frames, first_new + i, i));
+      ASSERT_TRUE(ack.ok());
+      EXPECT_EQ(ack->head.status, WireStatus::kOk) << ack->error;
+    }
+  }
+  EXPECT_EQ(index->wal_durable_commits(), 0u);
+  EXPECT_TRUE(server.Shutdown().ok());
+  EXPECT_GT(index->generation(), generation);
+
+  auto reopened = core::ShardedViTriIndex::Open(dir.index_dir(), {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->num_shards(), 2u);
+  EXPECT_EQ(reopened->num_videos(), videos + 4);
+  auto matches = reopened->Knn(summary, frames, 10, core::KnnMethod::kComposed);
+  ASSERT_TRUE(matches.ok());
+  std::set<uint32_t> ids;
+  for (const core::VideoMatch& m : *matches) ids.insert(m.video_id);
+  for (uint32_t i = 0; i < 4; ++i) EXPECT_TRUE(ids.count(first_new + i)) << i;
+}
+
+TEST(ServingLifecycleTest, InsertOfAForeignViTriIsAnInvalidRequest) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(2));
+  ASSERT_TRUE(index.ok());
+  const size_t vitris = index->num_vitris();
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  const auto summary = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+  const auto fresh = static_cast<uint32_t>(w.set.frame_counts.size());
+  // A ViTri labelled with another video's id, and one whose radius lies
+  // beyond epsilon/2, each sent to both shards.
+  for (const uint32_t id : {fresh, fresh + 1}) {
+    InsertRequest foreign = MakeInsert(summary, frames, id, 1);
+    foreign.vitris.back().video_id = id - 1;
+    InsertRequest wide = MakeInsert(summary, frames, id, 2);
+    wide.vitris.back().radius = 0.9;
+    for (const InsertRequest& req : {foreign, wide}) {
+      auto resp = client->Insert(req);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->head.status, WireStatus::kInvalidRequest);
+    }
+  }
+  EXPECT_EQ(index->num_vitris(), vitris);
+  EXPECT_TRUE(index->ValidateInvariants().ok());
+  EXPECT_TRUE(server.Shutdown().ok());
 }
 
 }  // namespace

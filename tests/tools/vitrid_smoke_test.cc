@@ -4,7 +4,10 @@
 // which the test pre-populates with WAL and query activity), and the
 // real vitrid binary (path baked in via VITRID_PATH) talks to it over a
 // unix socket. Asserts the stats JSON parses and carries the documented
-// shape: server block, wal.* counters, query latency histograms.
+// shape: server block, wal.* counters, query latency histograms. The
+// last tests drive `vitrid serve` itself, including a durable sharded
+// index that a second `serve --dir` and `vitri recover` (VITRI_CLI_PATH)
+// read back.
 
 #include <unistd.h>
 
@@ -16,9 +19,9 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
-#include "core/index.h"
 #include "core/sharded_index.h"
 #include "core/vitri_builder.h"
+#include "serving/client.h"
 #include "serving/server.h"
 #include "video/synthesizer.h"
 
@@ -69,10 +72,11 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
   core::ViTriBuilder builder(bo);
   auto set = builder.BuildDatabase(db);
   ASSERT_TRUE(set.ok());
-  core::ViTriIndexOptions io;
-  io.dimension = db.dimension;
-  io.epsilon = 0.15;
-  auto index = core::ViTriIndex::Build(*set, io);
+  core::ShardedIndexOptions sio;
+  sio.num_shards = 2;
+  sio.shard_options.dimension = db.dimension;
+  sio.shard_options.epsilon = 0.15;
+  auto index = core::ShardedViTriIndex::Build(*set, sio);
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(index->EnableDurability(db_dir).ok());
 
@@ -80,9 +84,9 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
   ASSERT_TRUE(query.ok());
   const auto frames = static_cast<uint32_t>(db.videos[0].num_frames());
   ASSERT_TRUE(index->Knn(*query, frames, 3, core::KnnMethod::kComposed).ok());
-  uint32_t next_id = 0;
-  for (const auto& v : set->vitris) next_id = std::max(next_id, v.video_id);
-  ASSERT_TRUE(index->Insert(next_id + 1, frames, *query).ok());
+  const auto next_id = static_cast<uint32_t>(set->frame_counts.size());
+  for (core::ViTri& v : *query) v.video_id = next_id;
+  ASSERT_TRUE(index->Insert(next_id, frames, *query).ok());
 
   serving::ServerOptions opts;
   opts.unix_socket_path = socket;
@@ -263,6 +267,61 @@ TEST(VitridSmokeTest, StatsReportsShardedIndexBlock) {
       std::system(("rm -rf " + dir).c_str());  // NOLINT(concurrency-mt-unsafe)
 }
 
+/// `vitrid serve <flags> --socket <socket>`, started in the background;
+/// returns once the listening socket exists (the synthetic build takes a
+/// moment), or null after 30 s (the process is left alone: pclose would
+/// wait for it).
+FILE* StartServe(const std::string& flags, const std::string& socket) {
+  unlink(socket.c_str());
+  FILE* serve = popen((std::string(VITRID_PATH) +  // NOLINT
+                       " serve " + flags + " --socket " + socket + " 2>&1")
+                          .c_str(),
+                      "r");
+  if (serve == nullptr) return nullptr;
+  for (int i = 0; i < 300; ++i) {
+    if (access(socket.c_str(), F_OK) == 0) return serve;
+    usleep(100 * 1000);
+  }
+  return nullptr;
+}
+
+/// Asks the server on `socket` to stop and returns the serve process's
+/// transcript once it exits; `rc` is its exit status.
+std::string StopServe(FILE* serve, const std::string& socket, int* rc) {
+  int ack_rc = -1;
+  const std::string ack = RunAndCapture(
+      std::string(VITRID_PATH) + " shutdown --socket " + socket, &ack_rc);
+  EXPECT_EQ(ack_rc, 0) << ack;
+  std::string transcript;
+  char buf[4096];
+  size_t n;
+  while ((n = fread(buf, 1, sizeof(buf), serve)) > 0) transcript.append(buf, n);
+  *rc = pclose(serve);
+  return transcript;
+}
+
+/// The server block's "index" object from `vitrid stats`.
+json::JsonValue IndexStats(const std::string& socket) {
+  int rc = -1;
+  const std::string out =
+      RunAndCapture(std::string(VITRID_PATH) + " stats --socket " + socket,
+                    &rc);
+  EXPECT_EQ(rc, 0) << out;
+  auto parsed = json::ParseJson(out);
+  EXPECT_TRUE(parsed.ok()) << out;
+  if (!parsed.ok()) return {};
+  const json::JsonValue* srv = parsed->Find("server");
+  const json::JsonValue* idx = srv == nullptr ? nullptr : srv->Find("index");
+  EXPECT_NE(idx, nullptr) << out;
+  return idx == nullptr ? json::JsonValue{} : *idx;
+}
+
+double NumberOf(const json::JsonValue& object, const char* key) {
+  const json::JsonValue* v = object.Find(key);
+  EXPECT_NE(v, nullptr) << key;
+  return v == nullptr ? -1.0 : v->number;
+}
+
 TEST(VitridSmokeTest, ServeIndexShardsFlagRoundTrip) {
   // The full binary surface: `vitrid serve --synthetic --index-shards 4`
   // must come up, report a 4-shard index over the wire, and drain on an
@@ -272,50 +331,103 @@ TEST(VitridSmokeTest, ServeIndexShardsFlagRoundTrip) {
   const std::string dir = tmpl;
   const std::string socket = dir + "/vitrid.sock";
 
-  FILE* serve = popen((std::string(VITRID_PATH) +  // NOLINT
-                       " serve --synthetic --index-shards 4 --socket " +
-                       socket + " 2>&1")
-                          .c_str(),
-                      "r");
-  ASSERT_NE(serve, nullptr);
-
-  // Wait for the listening socket (synthetic build takes a moment).
-  bool up = false;
-  for (int i = 0; i < 300 && !up; ++i) {
-    up = access(socket.c_str(), F_OK) == 0;
-    if (!up) usleep(100 * 1000);
-  }
-  ASSERT_TRUE(up) << "server socket never appeared";
-
-  int rc = -1;
-  const std::string out =
-      RunAndCapture(std::string(VITRID_PATH) + " stats --socket " + socket,
-                    &rc);
-  EXPECT_EQ(rc, 0) << out;
-  auto parsed = json::ParseJson(out);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << out;
-  const json::JsonValue* srv = parsed->Find("server");
-  ASSERT_NE(srv, nullptr) << out;
-  const json::JsonValue* idx = srv->Find("index");
-  ASSERT_NE(idx, nullptr) << out;
-  const json::JsonValue* shards = idx->Find("shards");
-  ASSERT_NE(shards, nullptr) << out;
-  EXPECT_EQ(shards->number, 4.0) << out;
-
-  const std::string ack = RunAndCapture(
-      std::string(VITRID_PATH) + " shutdown --socket " + socket, &rc);
-  EXPECT_EQ(rc, 0) << ack;
+  FILE* serve = StartServe("--synthetic --index-shards 4", socket);
+  ASSERT_NE(serve, nullptr) << "server socket never appeared";
+  EXPECT_EQ(NumberOf(IndexStats(socket), "shards"), 4.0);
 
   // The serve process drains and exits 0; its transcript carries the
   // announce line with the shard count.
-  std::string transcript;
-  char buf[4096];
-  size_t n;
-  while ((n = fread(buf, 1, sizeof(buf), serve)) > 0) transcript.append(buf, n);
-  const int serve_rc = pclose(serve);
+  int serve_rc = -1;
+  const std::string transcript = StopServe(serve, socket, &serve_rc);
   EXPECT_EQ(serve_rc, 0) << transcript;
   EXPECT_NE(transcript.find("listening on"), std::string::npos) << transcript;
   EXPECT_NE(transcript.find("4 shards"), std::string::npos) << transcript;
+
+  [[maybe_unused]] int ignored =
+      std::system(("rm -rf " + dir).c_str());  // NOLINT(concurrency-mt-unsafe)
+}
+
+TEST(VitridSmokeTest, DurableShardedServeRecoversAcrossRestarts) {
+  // serve --synthetic --index-shards 4 --dir D, one client insert, and a
+  // shutdown (which checkpoints every shard); then serve --dir D alone
+  // and vitri recover --dir D must both see 4 shards and the insert.
+  char tmpl[] = "/tmp/vitrid_durable_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string socket = dir + "/vitrid.sock";
+  const std::string db_dir = dir + "/db";
+
+  // The same synthetic world `serve --synthetic` indexes (seed 2005,
+  // scale 0.004, epsilon 0.15), for the insert's summary and the count.
+  video::SynthesizerOptions so;
+  so.seed = 2005;
+  video::VideoSynthesizer synth(so);
+  const video::VideoDatabase db = synth.GenerateDatabase(0.004);
+  core::ViTriBuilder builder;
+  auto set = builder.BuildDatabase(db);
+  ASSERT_TRUE(set.ok());
+  const size_t videos = static_cast<size_t>(
+      std::count_if(set->frame_counts.begin(), set->frame_counts.end(),
+                    [](uint32_t frames) { return frames > 0; }));
+  const auto new_id = static_cast<uint32_t>(set->frame_counts.size());
+
+  FILE* serve =
+      StartServe("--synthetic --index-shards 4 --dir " + db_dir, socket);
+  ASSERT_NE(serve, nullptr) << "server socket never appeared";
+  {
+    const json::JsonValue idx = IndexStats(socket);
+    EXPECT_EQ(NumberOf(idx, "videos"), static_cast<double>(videos));
+    const json::JsonValue* durable = idx.Find("durable");
+    ASSERT_NE(durable, nullptr);
+    EXPECT_TRUE(durable->bool_value);
+  }
+  {
+    auto client = serving::Client::ConnectUnix(socket);
+    ASSERT_TRUE(client.ok());
+    serving::InsertRequest insert;
+    insert.request_id = 1;
+    insert.video_id = new_id;
+    insert.num_frames = static_cast<uint32_t>(db.videos[0].num_frames());
+    insert.dimension = static_cast<uint32_t>(db.dimension);
+    for (core::ViTri v : set->vitris) {
+      if (v.video_id != 0) continue;
+      v.video_id = new_id;
+      insert.vitris.push_back(v);
+    }
+    auto ack = client->Insert(insert);
+    ASSERT_TRUE(ack.ok());
+    EXPECT_EQ(ack->head.status, serving::WireStatus::kOk) << ack->error;
+  }
+  int serve_rc = -1;
+  std::string transcript = StopServe(serve, socket, &serve_rc);
+  EXPECT_EQ(serve_rc, 0) << transcript;
+
+  // --dir alone: the manifest decides the shard count.
+  serve = StartServe("--dir " + db_dir, socket);
+  ASSERT_NE(serve, nullptr) << "recovered server socket never appeared";
+  {
+    const json::JsonValue idx = IndexStats(socket);
+    EXPECT_EQ(NumberOf(idx, "shards"), 4.0);
+    EXPECT_EQ(NumberOf(idx, "videos"), static_cast<double>(videos + 1));
+  }
+  transcript = StopServe(serve, socket, &serve_rc);
+  EXPECT_EQ(serve_rc, 0) << transcript;
+  EXPECT_NE(transcript.find(std::to_string(videos + 1) + " videos, 4 shards"),
+            std::string::npos)
+      << transcript;
+
+  int rc = -1;
+  const std::string recovered = RunAndCapture(
+      std::string(VITRI_CLI_PATH) + " recover --dir " + db_dir + " --json",
+      &rc);
+  EXPECT_EQ(rc, 0) << recovered;
+  auto parsed = json::ParseJson(recovered);
+  ASSERT_TRUE(parsed.ok()) << recovered;
+  EXPECT_EQ(NumberOf(*parsed, "shards"), 4.0);
+  EXPECT_EQ(NumberOf(*parsed, "snapshot_videos"),
+            static_cast<double>(videos + 1));
+  EXPECT_EQ(NumberOf(*parsed, "recovered_videos"),
+            static_cast<double>(videos + 1));
 
   [[maybe_unused]] int ignored =
       std::system(("rm -rf " + dir).c_str());  // NOLINT(concurrency-mt-unsafe)

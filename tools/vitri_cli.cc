@@ -21,13 +21,15 @@
 // process-wide metrics registry (DESIGN.md §12) — `--exercise` runs a
 // small built-in workload first so the registry has data to show;
 // `query` indexes the snapshot and searches with a near-duplicate of
-// the named database video (`--trace` prints the per-stage spans);
+// the named database video (`--trace` prints the per-stage spans, each
+// naming its shard);
 // `verify` checks snapshot and page-file checksums offline; `check`
 // runs the deep invariant validators (core/validate.h and the
 // structural self-checks) on a snapshot and/or a B+-tree page file;
-// `recover` opens a durable index directory (DESIGN.md §13), replays
-// its WAL, repairs any torn tail, validates invariants, and with
-// `--checkpoint` folds the log into a fresh snapshot generation.
+// `recover` opens a durable sharded index directory (DESIGN.md §13),
+// replays each shard's WAL, repairs any torn tail, validates invariants,
+// and with `--checkpoint` folds the logs into fresh snapshot
+// generations.
 
 #include <algorithm>
 #include <cstdio>
@@ -159,8 +161,10 @@ int CmdSummarize(const Args& args) {
 }
 
 // Populates the metrics registry with a small end-to-end workload
-// (synthetic database → summaries → index build → single and batched
-// KNN), so `vitri stats --exercise` has live counters to report.
+// (synthetic database → summaries → sharded index build, shard count
+// resolved via VITRI_INDEX_SHARDS → single and batched KNN), so `vitri
+// stats --exercise` has live counters, including the index.shard.<i>.*
+// gauges, to report.
 int ExerciseMetrics() {
   video::SynthesizerOptions so;
   so.seed = 2005;
@@ -169,9 +173,9 @@ int ExerciseMetrics() {
   core::ViTriBuilder builder;
   auto set = builder.BuildDatabase(db);
   if (!set.ok()) return Fail(set.status());
-  core::ViTriIndexOptions io;
-  io.dimension = db.dimension;
-  auto index = core::ViTriIndex::Build(*set, io);
+  core::ShardedIndexOptions options;
+  options.shard_options.dimension = db.dimension;
+  auto index = core::ShardedViTriIndex::Build(*set, options);
   if (!index.ok()) return Fail(index.status());
   std::vector<core::BatchQuery> batch;
   const size_t num_queries = std::min<size_t>(4, db.num_videos());
@@ -189,16 +193,6 @@ int ExerciseMetrics() {
   }
   auto batched = index->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
   if (!batched.ok()) return Fail(batched.status());
-  // The same corpus behind a sharded index (count resolved via
-  // VITRI_INDEX_SHARDS, >= 1), so the index.shard.<i>.* gauges report
-  // live data too.
-  core::ShardedIndexOptions sharded_opts;
-  sharded_opts.shard_options = io;
-  auto sharded = core::ShardedViTriIndex::Build(*set, sharded_opts);
-  if (!sharded.ok()) return Fail(sharded.status());
-  auto sharded_batch =
-      sharded->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
-  if (!sharded_batch.ok()) return Fail(sharded_batch.status());
   return 0;
 }
 
@@ -331,41 +325,25 @@ int CmdQuery(const Args& args) {
   batch[0].num_frames = static_cast<uint32_t>(query.num_frames());
   const bool traced = args.Has("--trace");
   std::vector<core::QueryTrace> traces;
-  // Sharding: flag > VITRI_INDEX_SHARDS > 1. More than one shard routes
-  // the query through the scatter-gather index (results are identical
-  // to the single-shard path — the merge contract of DESIGN.md §17).
-  const size_t index_shards = core::ResolveIndexShards(
-      static_cast<size_t>(std::max(args.GetLong("--index-shards", 0), 0L)));
-  std::vector<std::vector<core::VideoMatch>> batch_results;
-  if (index_shards > 1) {
-    if (traced) {
-      std::fprintf(stderr,
-                   "query: --trace is single-shard only; ignoring it with "
-                   "--index-shards %zu\n",
-                   index_shards);
-    }
-    auto set = core::LoadViTriSet(snapshot);
-    if (!set.ok()) return Fail(set.status());
-    core::ShardedIndexOptions sharded_opts;
-    sharded_opts.num_shards = index_shards;
-    sharded_opts.shard_options = io;
-    auto sharded = core::ShardedViTriIndex::Build(*set, sharded_opts);
-    if (!sharded.ok()) return Fail(sharded.status());
+  // Sharding: flag > VITRI_INDEX_SHARDS > 1. Results are identical for
+  // every shard count (the merge contract of DESIGN.md §17).
+  auto set = core::LoadViTriSet(snapshot);
+  if (!set.ok()) return Fail(set.status());
+  core::ShardedIndexOptions sharded_opts;
+  sharded_opts.num_shards =
+      static_cast<size_t>(std::max(args.GetLong("--index-shards", 0), 0L));
+  sharded_opts.shard_options = io;
+  auto index = core::ShardedViTriIndex::Build(*set, sharded_opts);
+  if (!index.ok()) return Fail(index.status());
+  if (index->num_shards() > 1) {
     std::printf("index shards: %zu (%zu live, %s assignment)\n",
-                sharded->num_shards(), sharded->live_shards(),
-                core::ShardAssignmentName(sharded->assignment()));
-    auto r = sharded->BatchKnn(batch, k, method, threads, &costs);
-    if (!r.ok()) return Fail(r.status());
-    batch_results = std::move(*r);
-  } else {
-    auto index = core::LoadIndexSnapshot(snapshot, io);
-    if (!index.ok()) return Fail(index.status());
-    auto r = index->BatchKnn(batch, k, method, threads, &costs,
-                             traced ? &traces : nullptr);
-    if (!r.ok()) return Fail(r.status());
-    batch_results = std::move(*r);
+                index->num_shards(), index->live_shards(),
+                core::ShardAssignmentName(index->assignment()));
   }
-  const std::vector<core::VideoMatch>& results = batch_results[0];
+  auto batch_results = index->BatchKnn(batch, k, method, threads, &costs,
+                                       traced ? &traces : nullptr);
+  if (!batch_results.ok()) return Fail(batch_results.status());
+  const std::vector<core::VideoMatch>& results = (*batch_results)[0];
 
   std::printf("query: near-duplicate of video %u (%zu frames, %zu "
               "ViTris)\n",
@@ -513,10 +491,11 @@ int CmdRecover(const Args& args) {
     std::fprintf(stderr, "recover: --dir is required\n");
     return 2;
   }
-  core::ViTriIndexOptions io;
-  io.epsilon = args.GetDouble("--epsilon", io.epsilon);
+  core::ShardedIndexOptions options;
+  options.shard_options.epsilon =
+      args.GetDouble("--epsilon", options.shard_options.epsilon);
   core::RecoveryStats stats;
-  auto index = core::ViTriIndex::Open(dir, io, {}, &stats);
+  auto index = core::ShardedViTriIndex::Open(dir, options, {}, &stats);
   if (!index.ok()) return Fail(index.status());
   const Status valid = index->ValidateInvariants();
   if (!valid.ok()) return Fail(valid);
@@ -531,6 +510,8 @@ int CmdRecover(const Args& args) {
     w.BeginObject();
     w.Key("dir");
     w.String(dir);
+    w.Key("shards");
+    w.Uint(index->num_shards());
     w.Key("generation");
     w.Uint(index->generation());
     w.Key("snapshot_vitris");
@@ -557,9 +538,10 @@ int CmdRecover(const Args& args) {
     std::printf("%s\n", w.str().c_str());
     return 0;
   }
-  std::printf("recovered %s: generation %llu, snapshot %zu ViTris / %zu "
-              "videos\n",
-              dir, static_cast<unsigned long long>(stats.generation),
+  std::printf("recovered %s: %zu shards, generation %llu, snapshot %zu "
+              "ViTris / %zu videos\n",
+              dir, index->num_shards(),
+              static_cast<unsigned long long>(stats.generation),
               stats.snapshot_vitris, stats.snapshot_videos);
   std::printf("WAL: %llu commits replayed (%llu records), %llu records / "
               "%llu bytes discarded%s\n",

@@ -1,5 +1,5 @@
-// vitrid — long-lived serving daemon around one ViTriIndex (DESIGN.md
-// §15), speaking the length-prefixed binary protocol of
+// vitrid — long-lived serving daemon around one sharded ViTri index
+// (DESIGN.md §15, §17), speaking the length-prefixed binary protocol of
 // src/serving/protocol.h over a unix-domain socket or loopback TCP.
 //
 //   vitrid serve    (--socket PATH | --port N)
@@ -8,23 +8,25 @@
 //                   [--dir index_dir] [--epsilon 0.15] [--queue 256]
 //                   [--workers 4] [--knn-threads 1] [--trace-every 0]
 //                   [--exercise] [--no-checkpoint] [--index-shards N]
+//                   [--pool-shards N] [--readahead PAGES]
+//                   [--prefetch-threads N]
 //   vitrid ping     (--socket PATH | --host 127.0.0.1 --port N)
 //   vitrid stats    (--socket PATH | --host 127.0.0.1 --port N)
 //   vitrid shutdown (--socket PATH | --host 127.0.0.1 --port N)
 //
 // `serve` builds or recovers an index and serves it until SIGINT/SIGTERM
-// or an in-band shutdown request; with `--dir` plus a build source the
-// index is made durable there (WAL + checkpoint on shutdown), with
-// `--dir` alone it is recovered from there. `--exercise` runs a small
-// built-in workload before serving so the metrics registry has live
-// query (and, when durable, wal.*) series for `stats` to report.
-// `stats` prints the server's JSON stats document (server block, metrics
-// registry, recent query traces) to stdout. `shutdown` asks the server
-// to drain and stop; the ack returns before the drain completes.
-// `--index-shards N` (or VITRI_INDEX_SHARDS when the flag is absent and
-// the index is not durable) serves a sharded scatter-gather index built
-// from --synthetic/--summary; it is incompatible with --dir because
-// durability is single-index-only (DESIGN.md §17).
+// or an in-band shutdown request. With `--dir` plus a build source the
+// index is made durable there (one WAL per shard, checkpoint on
+// shutdown); with `--dir` alone it is recovered from there.
+// `--index-shards N` (or VITRI_INDEX_SHARDS when the flag is absent)
+// sets the shard count of a built index; a recovered index takes its
+// count from the directory's manifest, and a flag that disagrees with it
+// is an error. `--exercise` runs a small built-in workload before
+// serving so the metrics registry has live query (and, when durable,
+// wal.*) series for `stats` to report. `stats` prints the server's JSON
+// stats document (server block, metrics registry, recent query traces)
+// to stdout. `shutdown` asks the server to drain and stop; the ack
+// returns before the drain completes.
 
 #include <algorithm>
 #include <csignal>
@@ -99,6 +101,10 @@ void Usage() {
       "answers Overloaded when its request queue is full, enforces\n"
       "per-request deadlines, and drains every admitted request before\n"
       "stopping (checkpointing a durable index on the way out).\n"
+      "--dir with a build source makes the index durable there (one WAL\n"
+      "per shard); --dir alone recovers it with the shard count its\n"
+      "manifest records. --index-shards (else VITRI_INDEX_SHARDS, else\n"
+      "1) sets the shard count of a built index.\n"
       "stats prints the server's JSON stats document to stdout.\n");
 }
 
@@ -107,7 +113,7 @@ volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
 /// Builds the small synthetic summary set (the vitri CLI's --exercise
-/// world) that both the single-index and sharded serve paths index.
+/// world) that `serve --synthetic` indexes.
 Result<core::ViTriSet> BuildSyntheticSet(double scale, double epsilon) {
   video::SynthesizerOptions so;
   so.seed = 2005;
@@ -132,59 +138,33 @@ storage::BufferPoolOptions PoolOptionsFromFlags(const Args& args) {
   return pool;
 }
 
-/// Pre-serving warm-up: a few queries (query.knn.* series) and, on a
-/// durable index, one insert (wal.* series), so `vitrid stats` has live
-/// metrics straight after startup.
-Status FirstVideoQuery(const core::ViTriSet& snapshot,
-                       std::vector<core::ViTri>* query, uint32_t* frames) {
+/// Pre-serving warm-up: a scatter-gather query (query.knn.* series) and,
+/// on a durable index, one insert (wal.* series), so `vitrid stats` has
+/// live metrics straight after startup.
+Status Exercise(core::ShardedViTriIndex* index) {
+  const core::ViTriSet snapshot = index->Snapshot();
   if (snapshot.vitris.empty()) {
     return Status::InvalidArgument("cannot exercise an empty index");
   }
   // The index's own first video's summary makes a guaranteed-hit query.
   const uint32_t video = snapshot.vitris.front().video_id;
-  *frames = 0;
-  for (const core::ViTri& v : snapshot.vitris) {
-    if (v.video_id == video) {
-      query->push_back(v);
-      *frames += v.cluster_size;
-    }
-  }
-  return Status::OK();
-}
-
-Status Exercise(core::ViTriIndex* index) {
-  core::ViTriSet snapshot = index->Snapshot();
   std::vector<core::ViTri> query;
   uint32_t frames = 0;
-  VITRI_RETURN_IF_ERROR(FirstVideoQuery(snapshot, &query, &frames));
+  for (const core::ViTri& v : snapshot.vitris) {
+    if (v.video_id == video) {
+      query.push_back(v);
+      frames += v.cluster_size;
+    }
+  }
   VITRI_ASSIGN_OR_RETURN(
       std::vector<core::VideoMatch> matches,
       index->Knn(query, frames, 10, core::KnnMethod::kComposed));
   (void)matches;
   if (index->durable()) {
-    uint32_t next_id = 0;
-    for (const core::ViTri& v : snapshot.vitris) {
-      next_id = std::max(next_id, v.video_id);
-    }
-    ++next_id;
-    std::vector<core::ViTri> vitris = query;
-    for (core::ViTri& v : vitris) v.video_id = next_id;
-    VITRI_RETURN_IF_ERROR(index->Insert(next_id, frames, vitris));
+    const auto next_id = static_cast<uint32_t>(snapshot.frame_counts.size());
+    for (core::ViTri& v : query) v.video_id = next_id;
+    VITRI_RETURN_IF_ERROR(index->Insert(next_id, frames, query));
   }
-  return Status::OK();
-}
-
-/// Sharded warm-up: a scatter-gather query so query.knn.* and the
-/// index.shard.<i>.* gauges are live before the first stats request.
-Status ExerciseSharded(core::ShardedViTriIndex* index) {
-  core::ViTriSet snapshot = index->Snapshot();
-  std::vector<core::ViTri> query;
-  uint32_t frames = 0;
-  VITRI_RETURN_IF_ERROR(FirstVideoQuery(snapshot, &query, &frames));
-  VITRI_ASSIGN_OR_RETURN(
-      std::vector<core::VideoMatch> matches,
-      index->Knn(query, frames, 10, core::KnnMethod::kComposed));
-  (void)matches;
   return Status::OK();
 }
 
@@ -203,7 +183,7 @@ serving::ServerOptions ServerOptionsFromFlags(const Args& args,
 }
 
 /// Start, announce, block until SIGINT/SIGTERM or an in-band shutdown
-/// request, then drain. Shared by the single-index and sharded paths.
+/// request, then drain.
 int ServeLoop(serving::Server* server, const char* socket_path,
               const std::string& what) {
   const Status st = server->Start();
@@ -254,90 +234,42 @@ int CmdServe(const Args& args) {
     return 2;
   }
 
-  // Shard-count resolution: flag > VITRI_INDEX_SHARDS > 1. The env
-  // never hijacks a durable (--dir) index — durability is
-  // single-index-only, and the sharded CI leg exports the env for the
-  // whole suite. An explicit flag plus --dir is a hard conflict.
-  const long shards_flag = std::max(args.GetLong("--index-shards", 0), 0L);
-  if (shards_flag > 1 && dir != nullptr) {
-    std::fprintf(stderr,
-                 "serve: --index-shards is incompatible with --dir "
-                 "(durability is single-index-only)\n");
-    return 2;
-  }
-  const size_t index_shards =
-      dir != nullptr
-          ? 1
-          : core::ResolveIndexShards(static_cast<size_t>(shards_flag));
+  core::ShardedIndexOptions options;
+  options.num_shards =
+      static_cast<size_t>(std::max(args.GetLong("--index-shards", 0), 0L));
+  options.shard_options.epsilon = epsilon;
+  options.shard_options.buffer_pool_options = PoolOptionsFromFlags(args);
 
-  const storage::BufferPoolOptions pool_options = PoolOptionsFromFlags(args);
-
-  if (index_shards > 1) {
-    Result<core::ViTriSet> set =
+  Result<core::ShardedViTriIndex> index =
+      [&]() -> Result<core::ShardedViTriIndex> {
+    if (!synthetic && summary == nullptr) {
+      // --dir alone: recover a durable index (its manifest, not the env,
+      // decides the shard count).
+      return core::ShardedViTriIndex::Open(dir, options);
+    }
+    VITRI_ASSIGN_OR_RETURN(
+        const core::ViTriSet set,
         synthetic ? BuildSyntheticSet(args.GetDouble("--scale", 0.004),
                                       epsilon)
-                  : core::LoadViTriSet(summary);
-    if (!set.ok()) return Fail(set.status());
-    core::ShardedIndexOptions sharded_options;
-    sharded_options.num_shards = index_shards;
-    sharded_options.shard_options.dimension = set->dimension;
-    sharded_options.shard_options.epsilon = epsilon;
-    sharded_options.shard_options.buffer_pool_options = pool_options;
-    Result<core::ShardedViTriIndex> index =
-        core::ShardedViTriIndex::Build(*set, sharded_options);
-    if (!index.ok()) return Fail(index.status());
-    if (args.Has("--exercise")) {
-      const Status st = ExerciseSharded(&*index);
-      if (!st.ok()) return Fail(st);
-    }
-    serving::Server server(&*index,
-                           ServerOptionsFromFlags(args, socket_path, port));
-    return ServeLoop(&server, socket_path,
-                     std::to_string(index->num_videos()) + " videos, " +
-                         std::to_string(index->num_shards()) + " shards");
-  }
-
-  Result<core::ViTriIndex> index = [&]() -> Result<core::ViTriIndex> {
-    if (synthetic) {
-      VITRI_ASSIGN_OR_RETURN(
-          core::ViTriSet set,
-          BuildSyntheticSet(args.GetDouble("--scale", 0.004), epsilon));
-      core::ViTriIndexOptions io;
-      io.dimension = set.dimension;
-      io.epsilon = epsilon;
-      io.buffer_pool_options = pool_options;
-      return core::ViTriIndex::Build(set, io);
-    }
-    if (summary != nullptr) {
-      VITRI_ASSIGN_OR_RETURN(core::ViTriSet set,
-                             core::LoadViTriSet(summary));
-      core::ViTriIndexOptions io;
-      io.dimension = set.dimension;
-      io.epsilon = epsilon;
-      io.buffer_pool_options = pool_options;
-      return core::ViTriIndex::Build(set, io);
-    }
-    // --dir alone: recover a durable index.
-    core::ViTriIndexOptions io;
-    io.epsilon = epsilon;
-    io.buffer_pool_options = pool_options;
-    return core::ViTriIndex::Open(dir, io);
+                  : core::LoadViTriSet(summary));
+    options.shard_options.dimension = set.dimension;
+    VITRI_ASSIGN_OR_RETURN(core::ShardedViTriIndex built,
+                           core::ShardedViTriIndex::Build(set, options));
+    // A build source plus --dir: make the fresh index durable there.
+    if (dir != nullptr) VITRI_RETURN_IF_ERROR(built.EnableDurability(dir));
+    return built;
   }();
   if (!index.ok()) return Fail(index.status());
-  // A build source plus --dir: make the fresh index durable there.
-  if (dir != nullptr && (synthetic || summary != nullptr)) {
-    const Status st = index->EnableDurability(dir);
-    if (!st.ok()) return Fail(st);
-  }
   if (args.Has("--exercise")) {
     const Status st = Exercise(&*index);
     if (!st.ok()) return Fail(st);
   }
-
   serving::Server server(&*index,
                          ServerOptionsFromFlags(args, socket_path, port));
   return ServeLoop(&server, socket_path,
-                   std::to_string(index->num_videos()) + " videos");
+                   std::to_string(index->num_videos()) + " videos, " +
+                       std::to_string(index->num_shards()) +
+                       (index->num_shards() == 1 ? " shard" : " shards"));
 }
 
 Result<serving::Client> ConnectFromArgs(const Args& args) {
