@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/crc32c.h"
 #include "common/json.h"
 #include "common/os.h"
 #include "common/thread_pool.h"
@@ -89,6 +90,8 @@ std::string BenchReport::ToJson() const {
   w.String(name_);
   w.Key("backend");
   w.String(linalg::KernelBackendName(linalg::ActiveKernelBackend()));
+  w.Key("crc_backend");
+  w.String(Crc32cBackendName());
   w.Key("hardware_threads");
   w.Uint(ThreadPool::HardwareThreads());
   w.Key("results");

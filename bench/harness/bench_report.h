@@ -17,6 +17,7 @@ namespace vitri::bench {
 ///   {
 ///     "name": "<bench name>",
 ///     "backend": "<active distance-kernel backend>",
+///     "crc_backend": "<active CRC-32C implementation>",
 ///     "hardware_threads": N,
 ///     "results": [ {"<key>": <value>, ...}, ... ]
 ///   }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/crc32c_internal.h"
 #include "core/snapshot.h"
 #include "core/vitri.h"
 #include "serving/protocol.h"
@@ -255,6 +256,33 @@ void MakeProtocolSeeds(const std::string& dir) {
   WriteBytes(dir + "/overloaded_response.bin", rejected);
 }
 
+// --- crc32c_parity ----------------------------------------------------
+
+// Input layout: [u16 split selector][message]; see crc32c_parity_fuzz.cc.
+std::vector<uint8_t> CrcSeed(uint16_t split, size_t n, uint8_t fill_step) {
+  std::vector<uint8_t> seed(2 + n);
+  vitri::EncodeU16(seed.data(), split);
+  for (size_t i = 0; i < n; ++i) {
+    seed[2 + i] = static_cast<uint8_t>(i * fill_step + (i >> 7));
+  }
+  return seed;
+}
+
+void MakeCrcSeeds(const std::string& dir) {
+  // A short WAL-frame-sized message split mid-word.
+  WriteBytes(dir + "/wal_frame.bin", CrcSeed(29, 64, 37));
+  // A page payload (4 KiB page less its 8-byte footer) split inside the
+  // first three-stream round.
+  WriteBytes(dir + "/page_payload.bin", CrcSeed(1000, 4088, 131));
+  // Exactly one three-stream round plus an odd tail, unsplit.
+  WriteBytes(dir + "/round_plus_tail.bin",
+             CrcSeed(0, 3 * vitri::kCrc32cHardwareBlock + 5, 17));
+  // All zeros, split at its end.
+  std::vector<uint8_t> zeros(2 + 777, 0);
+  vitri::EncodeU16(zeros.data(), 777);
+  WriteBytes(dir + "/zeros.bin", zeros);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -264,12 +292,14 @@ int main(int argc, char** argv) {
   }
   const std::string root = argv[1];
   for (const char* sub : {"", "/wal_replay", "/snapshot_load",
-                          "/query_compose", "/protocol_decode"}) {
+                          "/query_compose", "/protocol_decode",
+                          "/crc32c_parity"}) {
     ::mkdir((root + sub).c_str(), 0755);
   }
   MakeWalSeeds(root + "/wal_replay");
   MakeSnapshotSeeds(root + "/snapshot_load");
   MakeComposeSeeds(root + "/query_compose");
   MakeProtocolSeeds(root + "/protocol_decode");
+  MakeCrcSeeds(root + "/crc32c_parity");
   return 0;
 }

@@ -14,7 +14,13 @@ namespace vitri {
 /// Extends `crc` (a previous return value of Crc32c/Crc32cExtend, or 0
 /// for a fresh stream) with `n` more bytes. Streaming-composable:
 /// Crc32cExtend(Crc32c(a, n), b, m) == Crc32c(concat(a, b), n + m).
+/// Runs on the SSE4.2 `crc32` instruction where the CPU has it and on a
+/// slicing-by-4 table otherwise, chosen once per process; both compute
+/// the same function bit for bit.
 uint32_t Crc32cExtend(uint32_t crc, const uint8_t* data, size_t n);
+
+/// The implementation Crc32cExtend runs on: "sse4.2" or "portable".
+const char* Crc32cBackendName();
 
 /// One-shot checksum of a byte buffer.
 inline uint32_t Crc32c(const uint8_t* data, size_t n) {

@@ -69,6 +69,14 @@ class FullEvaluator {
 
 }  // namespace
 
+Status DecodeLeafRecord(std::span<const uint8_t> value, int dimension,
+                        ViTri* out) {
+  Status decoded = ViTri::DeserializeInto(value, dimension, out);
+  if (decoded.ok()) return decoded;
+  return Status::Corruption("leaf record does not decode: " +
+                            decoded.message());
+}
+
 void KeepTopK(std::vector<VideoMatch>* matches, size_t k) {
   std::sort(matches->begin(), matches->end(), RanksBefore);
   if (matches->size() > k) matches->resize(k);
@@ -299,6 +307,8 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
   const uint64_t candidates_before = costs->candidates;
   size_t sampled = 0;
   double sampled_seconds = 0.0;
+  ViTri candidate;
+  Status decoded = Status::OK();
   {
     TraceSpanScope scan_span(trace, "scan", pool_.get());
     for (const Scan& scan : scans) {
@@ -310,15 +320,14 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
             TraceClock::time_point t0;
             if (sample) t0 = TraceClock::now();
             ++costs->candidates;
-            auto candidate = ViTri::Deserialize(value, options_.dimension);
-            if (candidate.ok()) {
-              for (size_t i = scan.first; i < scan.last; ++i) {
-                if (key >= ranges[i].lo && key <= ranges[i].hi) {
-                  ++costs->similarity_evals;
-                  Accumulate(*candidate,
-                             EstimatedSharedFrames(query[i], *candidate),
-                             shared);
-                }
+            decoded = DecodeLeafRecord(value, options_.dimension, &candidate);
+            if (!decoded.ok()) return false;
+            for (size_t i = scan.first; i < scan.last; ++i) {
+              if (key >= ranges[i].lo && key <= ranges[i].hi) {
+                ++costs->similarity_evals;
+                Accumulate(candidate,
+                           EstimatedSharedFrames(query[i], candidate),
+                           shared);
               }
             }
             if (sample) {
@@ -331,6 +340,7 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
             return true;
           });
       VITRI_RETURN_IF_ERROR(scan_result.status());
+      VITRI_RETURN_IF_ERROR(decoded);
     }
   }
   if (trace != nullptr) {
@@ -498,23 +508,27 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
   FullEvaluator evaluator(query);
+  ViTri candidate;
+  Status scanned = Status::OK();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   auto scan_result = tree_->RangeScan(
       -kInf, kInf,
       [&](double /*key*/, uint64_t /*rid*/,
           std::span<const uint8_t> value) {
         ++local.candidates;
-        auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (candidate.ok()) evaluator.Evaluate(*candidate, &shared, &local);
+        scanned = DecodeLeafRecord(value, options_.dimension, &candidate);
+        if (!scanned.ok()) return false;
+        evaluator.Evaluate(candidate, &shared, &local);
         return true;
       });
-  if (scan_result.status().IsCorruption()) {
+  if (!scan_result.ok()) scanned = scan_result.status();
+  if (scanned.IsCorruption()) {
     VITRI_LOG(kWarn)
         << "SequentialScan degraded to in-memory evaluation: "
-        << scan_result.status().ToString();
+        << scanned.ToString();
     EvaluateInMemory(query, &shared, &local);
   } else {
-    VITRI_RETURN_IF_ERROR(scan_result.status());
+    VITRI_RETURN_IF_ERROR(scanned);
   }
 
   std::vector<VideoMatch> result =
@@ -554,28 +568,32 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
     Accumulate(candidate, EstimatedMatchingFrames(frame, epsilon, candidate),
                &matches_by_video);
   };
+  ViTri candidate;
+  Status scanned = Status::OK();
   auto scan = tree_->RangeScan(
       key - gamma, key + gamma,
       [&](double /*key*/, uint64_t /*rid*/,
           std::span<const uint8_t> value) {
         ++local.candidates;
-        auto candidate = ViTri::Deserialize(value, options_.dimension);
-        if (candidate.ok()) evaluate(*candidate);
+        scanned = DecodeLeafRecord(value, options_.dimension, &candidate);
+        if (!scanned.ok()) return false;
+        evaluate(candidate);
         return true;
       });
-  if (scan.status().IsCorruption()) {
+  if (!scan.ok()) scanned = scan.status();
+  if (scanned.IsCorruption()) {
     VITRI_LOG(kWarn) << "FrameSearch degraded to in-memory evaluation: "
-                        << scan.status().ToString();
+                        << scanned.ToString();
     local.degraded = true;
     local.candidates = 0;
     local.similarity_evals = 0;
     std::fill(matches_by_video.begin(), matches_by_video.end(), 0.0);
-    for (const ViTri& candidate : vitris_) {
+    for (const ViTri& stored : vitris_) {
       ++local.candidates;
-      evaluate(candidate);
+      evaluate(stored);
     }
   } else {
-    VITRI_RETURN_IF_ERROR(scan.status());
+    VITRI_RETURN_IF_ERROR(scanned);
   }
 
   std::vector<VideoMatch> out;

@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -150,6 +151,15 @@ inline bool RanksBefore(const VideoMatch& a, const VideoMatch& b) {
 
 /// Sorts `matches` by RanksBefore and keeps the first k.
 void KeepTopK(std::vector<VideoMatch>* matches, size_t k);
+
+/// Decodes one B+-tree leaf record into `out`, reusing its position
+/// buffer, so a scan that decodes into one ViTri allocates nothing per
+/// record. The tree stores fixed-size records, so one that does not
+/// decode is damage the page footer did not catch: it is Corruption,
+/// which stops a scan and sends a query down its degraded path, as a
+/// quarantined page does.
+Status DecodeLeafRecord(std::span<const uint8_t> value, int dimension,
+                        ViTri* out);
 
 /// Ranks a dense per-video accumulator of estimated shared frames
 /// (indexed by video id) into the top-k matches. Video v scores

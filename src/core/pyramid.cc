@@ -190,6 +190,8 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
   }
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
+  ViTri candidate;
+  Status decoded = Status::OK();
   for (const KeyRange& iv : ComposeKeyRanges(std::move(intervals))) {
     ++local.range_searches;
     auto scan = tree_->RangeScan(
@@ -197,18 +199,19 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
         [&](double /*key*/, uint64_t /*rid*/,
             std::span<const uint8_t> value) {
           ++local.candidates;
-          auto candidate = ViTri::Deserialize(value, options_.dimension);
-          if (!candidate.ok()) return true;
+          decoded = DecodeLeafRecord(value, options_.dimension, &candidate);
+          if (!decoded.ok()) return false;
           for (const ViTri& q : query) {
             ++local.similarity_evals;
-            const double est = EstimatedSharedFrames(q, *candidate);
-            if (est > 0.0 && candidate->video_id < shared.size()) {
-              shared[candidate->video_id] += est;
+            const double est = EstimatedSharedFrames(q, candidate);
+            if (est > 0.0 && candidate.video_id < shared.size()) {
+              shared[candidate.video_id] += est;
             }
           }
           return true;
         });
     VITRI_RETURN_IF_ERROR(scan.status());
+    VITRI_RETURN_IF_ERROR(decoded);
   }
   std::vector<VideoMatch> matches =
       RankSharedFrames(shared, frame_counts_, query_frames, k);

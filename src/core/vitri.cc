@@ -25,20 +25,26 @@ void ViTri::Serialize(std::vector<uint8_t>* out) const {
   }
 }
 
-Result<ViTri> ViTri::Deserialize(std::span<const uint8_t> bytes,
-                                 int dimension) {
+Status ViTri::DeserializeInto(std::span<const uint8_t> bytes, int dimension,
+                              ViTri* out) {
   if (bytes.size() != SerializedSize(dimension)) {
     return Status::InvalidArgument("serialized ViTri size mismatch");
   }
-  ViTri v;
   const uint8_t* p = bytes.data();
-  v.video_id = DecodeU32(p);
-  v.cluster_size = DecodeU32(p + 4);
-  v.radius = DecodeDouble(p + 8);
-  v.position.resize(dimension);
+  out->video_id = DecodeU32(p);
+  out->cluster_size = DecodeU32(p + 4);
+  out->radius = DecodeDouble(p + 8);
+  out->position.resize(static_cast<size_t>(dimension));
   for (int i = 0; i < dimension; ++i) {
-    v.position[i] = DecodeDouble(p + 16 + 8 * static_cast<size_t>(i));
+    out->position[i] = DecodeDouble(p + 16 + 8 * static_cast<size_t>(i));
   }
+  return Status::OK();
+}
+
+Result<ViTri> ViTri::Deserialize(std::span<const uint8_t> bytes,
+                                 int dimension) {
+  ViTri v;
+  VITRI_RETURN_IF_ERROR(DeserializeInto(bytes, dimension, &v));
   return v;
 }
 

@@ -40,7 +40,15 @@ struct ViTri {
   /// Serializes into `out` (resized to SerializedSize()).
   void Serialize(std::vector<uint8_t>* out) const;
 
-  /// Parses a serialized ViTri of known dimension.
+  /// Parses a serialized ViTri of known dimension into `out`,
+  /// overwriting every field and reusing `out->position`'s capacity, so
+  /// a scan that decodes into one ViTri allocates nothing per record.
+  /// A span of the wrong size is InvalidArgument and leaves `out` as it
+  /// was.
+  static Status DeserializeInto(std::span<const uint8_t> bytes,
+                                int dimension, ViTri* out);
+
+  /// Parses a serialized ViTri of known dimension into a fresh value.
   static Result<ViTri> Deserialize(std::span<const uint8_t> bytes,
                                    int dimension);
 };

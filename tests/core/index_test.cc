@@ -49,6 +49,24 @@ std::vector<ViTri> QuerySummary(const video::VideoSequence& seq,
   return *result;
 }
 
+TEST(ViTriIndexTest, LeafRecordThatDoesNotDecodeIsCorruption) {
+  // Corruption, not InvalidArgument, is what makes a scan fall back to
+  // the degraded in-memory path instead of failing the query.
+  ViTri v;
+  v.video_id = 5;
+  v.cluster_size = 3;
+  v.radius = 0.01;
+  v.position = {0.5, 0.25};
+  std::vector<uint8_t> bytes;
+  v.Serialize(&bytes);
+  ViTri out;
+  ASSERT_TRUE(DecodeLeafRecord(bytes, 2, &out).ok());
+  EXPECT_EQ(out.video_id, 5u);
+  EXPECT_EQ(out.position, v.position);
+  bytes.pop_back();
+  EXPECT_TRUE(DecodeLeafRecord(bytes, 2, &out).IsCorruption());
+}
+
 TEST(ViTriIndexTest, BuildRejectsEmptySet) {
   EXPECT_FALSE(ViTriIndex::Build(ViTriSet{}, DefaultOptions()).ok());
 }
