@@ -21,8 +21,10 @@ namespace vitri::metrics {
 /// Contract (DESIGN.md §12):
 ///   * Recording is lock-free: counters, gauges, and histogram buckets
 ///     are relaxed atomics, safe to hit from every BatchKnn worker
-///     concurrently (tsan-clean) and cheap enough for buffer-pool hot
-///     paths (one atomic add per event).
+///     concurrently (tsan-clean). A process-global metric is one cache
+///     line every thread writes, so per-page paths count in their
+///     owner's state (the pool's IoStats) and stats readers ask the
+///     owner; the registry holds only metrics with no owner to ask.
 ///   * Lookup is amortized free: instrumented sites cache the pointer
 ///     returned by GetCounter()/GetHistogram() in a function-local
 ///     static, so the registry mutex is only taken on the first event
@@ -165,7 +167,7 @@ class Registry {
 };
 
 /// Cached-lookup helpers for instrumentation sites:
-///   VITRI_METRIC_COUNTER("storage.pool.fetch")->Increment();
+///   VITRI_METRIC_COUNTER("query.knn.count")->Increment();
 /// The static local pins the registry lookup to the first execution.
 #define VITRI_METRIC_COUNTER(name)                                       \
   ([]() -> ::vitri::metrics::Counter* {                                  \

@@ -1,7 +1,6 @@
 #include "core/index.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -292,64 +291,30 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
     }
   }
 
-  // Tracing: collecting candidates for a separate refine pass would
-  // copy every record and evict the pool's hot working set, and clocking
-  // every candidate costs more than the refinement itself. So the loop
-  // runs under one "scan" span, the first few candidates are timed, and
-  // their mean per-candidate cost, extrapolated to all candidates, is
-  // carved off the end of the scan span as the "refine" span
-  // (QueryTrace::SplitLastSpan; DESIGN.md §12). Untraced, max_samples
-  // is 0 and the sampling branch never fires. A sampled callback costs
-  // tens of nanoseconds, the same order as the clock-read pair around
-  // it, so the calibrated pair cost is subtracted from every sample.
-  using TraceClock = std::chrono::steady_clock;
-  const size_t max_samples = trace != nullptr ? 8 : 0;
-  const uint64_t candidates_before = costs->candidates;
-  size_t sampled = 0;
-  double sampled_seconds = 0.0;
+  // Decode and refinement stream inside the range scan's callback, so
+  // one "scan" span times the scan and the refinement together.
   ViTri candidate;
   Status decoded = Status::OK();
-  {
-    TraceSpanScope scan_span(trace, "scan", pool_.get());
-    for (const Scan& scan : scans) {
-      ++costs->range_searches;
-      auto scan_result = tree_->RangeScan(
-          scan.lo, scan.hi,
-          [&](double key, uint64_t /*rid*/, std::span<const uint8_t> value) {
-            const bool sample = sampled < max_samples;
-            TraceClock::time_point t0;
-            if (sample) t0 = TraceClock::now();
-            ++costs->candidates;
-            decoded = DecodeLeafRecord(value, options_.dimension, &candidate);
-            if (!decoded.ok()) return false;
-            for (size_t i = scan.first; i < scan.last; ++i) {
-              if (key >= ranges[i].lo && key <= ranges[i].hi) {
-                ++costs->similarity_evals;
-                Accumulate(candidate,
-                           EstimatedSharedFrames(query[i], candidate),
-                           shared);
-              }
+  TraceSpanScope scan_span(trace, "scan", pool_.get());
+  for (const Scan& scan : scans) {
+    ++costs->range_searches;
+    auto scan_result = tree_->RangeScan(
+        scan.lo, scan.hi,
+        [&](double key, uint64_t /*rid*/, std::span<const uint8_t> value) {
+          ++costs->candidates;
+          decoded = DecodeLeafRecord(value, options_.dimension, &candidate);
+          if (!decoded.ok()) return false;
+          for (size_t i = scan.first; i < scan.last; ++i) {
+            if (key >= ranges[i].lo && key <= ranges[i].hi) {
+              ++costs->similarity_evals;
+              Accumulate(candidate, EstimatedSharedFrames(query[i], candidate),
+                         shared);
             }
-            if (sample) {
-              sampled_seconds += std::max(
-                  0.0, std::chrono::duration<double>(TraceClock::now() - t0)
-                               .count() -
-                           kTraceClockPairSeconds);
-              ++sampled;
-            }
-            return true;
-          });
-      VITRI_RETURN_IF_ERROR(scan_result.status());
-      VITRI_RETURN_IF_ERROR(decoded);
-    }
-  }
-  if (trace != nullptr) {
-    const double refine_estimate =
-        sampled == 0 ? 0.0
-                     : sampled_seconds / static_cast<double>(sampled) *
-                           static_cast<double>(costs->candidates -
-                                               candidates_before);
-    trace->SplitLastSpan("refine", refine_estimate);
+          }
+          return true;
+        });
+    VITRI_RETURN_IF_ERROR(scan_result.status());
+    VITRI_RETURN_IF_ERROR(decoded);
   }
   return Status::OK();
 }

@@ -273,7 +273,7 @@ class ViTriIndex {
   /// Top-k most similar videos to a query summary. `query_frames` is the
   /// query video's frame count (for similarity normalization). Costs are
   /// optional. A non-null `trace` records per-stage timed spans
-  /// (transform → compose → scan → refine → rank) with I/O deltas. The
+  /// (transform → compose → scan → rank) with I/O deltas. The
   /// traced query runs the same streaming scan loop as the untraced one,
   /// evaluating each candidate as it is read, so results are
   /// bit-identical (see DESIGN.md §12).
@@ -372,6 +372,11 @@ class ViTriIndex {
     ReaderLock lock(*latch_);
     return pool_->ShardSnapshots();
   }
+  /// Pages resident in the pool (summed over its shards).
+  size_t pool_resident() const VITRI_EXCLUDES(*latch_) {
+    ReaderLock lock(*latch_);
+    return pool_->resident();
+  }
   /// Number of buffer-pool shards actually in use (after the auto /
   /// VITRI_POOL_SHARDS resolution in the pool constructor).
   size_t pool_shards() const VITRI_EXCLUDES(*latch_) {
@@ -465,9 +470,8 @@ class ViTriIndex {
   /// range on its own, kComposed the ComposeKeyRanges() merge of all of
   /// them. Each scanned record is evaluated, as it is read, against the
   /// query ViTris whose ranges cover its key. With a trace, the loop runs
-  /// under a "scan" span, times its first few candidates, and carves the
-  /// extrapolated "refine" share off the scan span. Read-only; safe to
-  /// run concurrently from BatchKnn workers.
+  /// under one "scan" span that covers decode and refinement too.
+  /// Read-only; safe to run concurrently from BatchKnn workers.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<KeyRange>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,

@@ -1,21 +1,11 @@
 #include "core/query_trace.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "common/json.h"
 #include "storage/buffer_pool.h"
 
 namespace vitri::core {
-
-const double kTraceClockPairSeconds = [] {
-  constexpr int kIters = 1024;
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point begin = Clock::now();
-  Clock::time_point t{};
-  for (int i = 0; i < kIters; ++i) t = Clock::now();
-  return std::chrono::duration<double>(t - begin).count() / kIters;
-}();
 
 void QueryTrace::Begin() {
   spans_.clear();
@@ -29,19 +19,6 @@ void QueryTrace::Begin() {
 void QueryTrace::End() {
   total_seconds_ =
       std::chrono::duration<double>(Clock::now() - epoch_).count();
-}
-
-void QueryTrace::SplitLastSpan(const char* name, double tail_seconds) {
-  if (spans_.empty()) return;
-  TraceSpan& last = spans_.back();
-  const double tail =
-      std::clamp(tail_seconds, 0.0, last.duration_seconds);
-  last.duration_seconds -= tail;
-  TraceSpan span;
-  span.name = name;
-  span.start_seconds = last.start_seconds + last.duration_seconds;
-  span.duration_seconds = tail;
-  spans_.push_back(span);
 }
 
 void QueryTrace::AppendShard(const QueryTrace& other, uint32_t shard) {
@@ -62,15 +39,7 @@ double QueryTrace::SpanSeconds() const {
 
 storage::IoSnapshot QueryTrace::TotalIo() const {
   storage::IoSnapshot total;
-  for (const TraceSpan& s : spans_) {
-    total.logical_reads += s.io.logical_reads;
-    total.cache_hits += s.io.cache_hits;
-    total.physical_reads += s.io.physical_reads;
-    total.physical_writes += s.io.physical_writes;
-    total.allocations += s.io.allocations;
-    total.checksum_failures += s.io.checksum_failures;
-    total.retries += s.io.retries;
-  }
+  for (const TraceSpan& s : spans_) total = total + s.io;
   return total;
 }
 
@@ -105,14 +74,7 @@ std::string QueryTrace::ToJson() const {
     w.Double(s.duration_seconds);
     w.Key("io");
     w.BeginObject();
-    w.Key("logical_reads");
-    w.Uint(s.io.logical_reads);
-    w.Key("cache_hits");
-    w.Uint(s.io.cache_hits);
-    w.Key("physical_reads");
-    w.Uint(s.io.physical_reads);
-    w.Key("physical_writes");
-    w.Uint(s.io.physical_writes);
+    storage::WriteIoSnapshotFields(s.io, &w);
     w.EndObject();
     w.EndObject();
   }

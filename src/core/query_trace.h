@@ -16,7 +16,8 @@ namespace vitri::core {
 /// One timed stage of a query, with the buffer pool's I/O counter delta
 /// observed across it.
 struct TraceSpan {
-  /// Stage name: "transform", "compose", "scan", "refine", "rank".
+  /// Stage name: "transform", "compose", "scan", "rank", plus "refine"
+  /// when a query degrades to in-memory evaluation.
   const char* name = "";
   /// Offset of the span start from QueryTrace::Begin(), seconds.
   double start_seconds = 0.0;
@@ -32,11 +33,12 @@ struct TraceSpan {
 
 /// Lightweight per-query trace: an append-only list of timed spans for
 /// the KNN stages (transform → key-range composition → B+-tree range
-/// scan → candidate refinement → ranking). Attach one by passing it to
-/// ViTriIndex::Knn()/BatchKnn(); a null trace pointer costs nothing on
-/// the query path (a pointer test), and span capture itself only reads
-/// the pool's atomic counters — it never writes them, so QueryCosts and
-/// the paper's I/O figures are unaffected by tracing.
+/// scan, which refines each candidate as it is read → ranking). Attach
+/// one by passing it to ViTriIndex::Knn()/BatchKnn(); a null trace
+/// pointer costs nothing on the query path (a pointer test), and span
+/// capture itself only reads the pool's atomic counters — it never
+/// writes them, so QueryCosts and the paper's I/O figures are
+/// unaffected by tracing.
 ///
 /// A QueryTrace is single-owner state: one query (one BatchKnn worker)
 /// fills one trace. Reuse across queries is fine — Begin() resets it.
@@ -54,14 +56,6 @@ class QueryTrace {
   /// Sum of the spans' durations; <= total_seconds() (the difference is
   /// untraced glue between stages).
   double SpanSeconds() const;
-  /// Carves `tail_seconds` (clamped to the span's duration) off the end
-  /// of the most recently recorded span into a new span `name` with a
-  /// zero I/O delta. Used for stages that interleave in one loop — e.g.
-  /// the index splits its streaming scan+refine loop by *sampling* the
-  /// per-candidate refinement cost instead of clocking every candidate,
-  /// which would be far more expensive than the refinement itself
-  /// (DESIGN.md §12). No-op without a recorded span.
-  void SplitLastSpan(const char* name, double tail_seconds);
   /// Appends `other`'s spans tagged with `shard`, their start offsets
   /// moved onto this trace's epoch. The sharded index assembles one
   /// query's trace from its per-shard traces this way.
@@ -84,12 +78,6 @@ class QueryTrace {
   double total_seconds_ = 0.0;
   std::vector<TraceSpan> spans_;
 };
-
-/// Calibrated cost of one start/stop clock-read pair, measured once at
-/// process start (eagerly, so the calibration never lands inside a
-/// traced query). The index subtracts it from sampled per-candidate
-/// timings, whose true cost is the same order of magnitude.
-extern const double kTraceClockPairSeconds;
 
 /// RAII span recorder. Null-safe: with trace == nullptr, construction
 /// and destruction reduce to a pointer test — the untraced hot path

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/json.h"
 #include "common/os.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -60,10 +61,6 @@ std::vector<VideoMatch> MergeTopK(
   }
   std::sort_heap(heap.begin(), heap.end(), RanksBefore);
   return heap;
-}
-
-std::string ShardGaugeName(size_t shard, const char* suffix) {
-  return "index.shard." + std::to_string(shard) + "." + suffix;
 }
 
 std::string ShardDir(const std::string& dir, size_t shard) {
@@ -235,14 +232,10 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Build(
     WriterLock lock(*index.latch_);
     index.InitShardsLocked(n);
     for (size_t s = 0; s < n; ++s) {
-      if (parts[s].vitris.empty()) {
-        index.RefreshShardGauges(s);
-        continue;
-      }
+      if (parts[s].vitris.empty()) continue;
       VITRI_ASSIGN_OR_RETURN(ViTriIndex shard,
                              ViTriIndex::Build(parts[s], shard_opts));
       index.shards_[s] = std::make_unique<ViTriIndex>(std::move(shard));
-      index.RefreshShardGauges(s);
     }
   }
   return index;
@@ -252,13 +245,6 @@ void ShardedViTriIndex::InitShardsLocked(size_t num_shards) {
   num_shards_ = num_shards;
   options_.num_shards = num_shards;
   shards_.resize(num_shards);
-  shard_gauges_.resize(num_shards);
-  metrics::Registry& registry = metrics::Registry::Instance();
-  for (size_t s = 0; s < num_shards; ++s) {
-    shard_gauges_[s].videos = registry.GetGauge(ShardGaugeName(s, "videos"));
-    shard_gauges_[s].vitris = registry.GetGauge(ShardGaugeName(s, "vitris"));
-    shard_gauges_[s].height = registry.GetGauge(ShardGaugeName(s, "height"));
-  }
 }
 
 Result<ShardedViTriIndex> ShardedViTriIndex::Open(
@@ -287,10 +273,7 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Open(
       const std::string shard_dir = ShardDir(dir, s);
       // No CURRENT: power was lost before the shard's first checkpoint
       // flip, so nothing in it was ever acknowledged. The shard is empty.
-      if (ReadCurrentFile(shard_dir).status().IsNotFound()) {
-        index.RefreshShardGauges(s);
-        continue;
-      }
+      if (ReadCurrentFile(shard_dir).status().IsNotFound()) continue;
       RecoveryStats shard_stats;
       VITRI_ASSIGN_OR_RETURN(
           ViTriIndex shard,
@@ -303,7 +286,6 @@ Result<ShardedViTriIndex> ShardedViTriIndex::Open(
       dimension = shard.options().dimension;
       AddShardStats(&total, shard_stats);
       index.shards_[s] = std::make_unique<ViTriIndex>(std::move(shard));
-      index.RefreshShardGauges(s);
     }
     if (dimension == 0) {
       return Status::Corruption("no shard of " + dir + " holds data");
@@ -396,18 +378,6 @@ uint64_t ShardedViTriIndex::wal_durable_commits() const {
   return commits;
 }
 
-void ShardedViTriIndex::RefreshShardGauges(size_t s) const {
-  if (s >= shard_gauges_.size()) return;
-  const ShardGauges& gauges = shard_gauges_[s];
-  const ViTriIndex* shard = shards_[s].get();
-  gauges.videos->Set(
-      shard == nullptr ? 0 : static_cast<int64_t>(shard->stored_videos()));
-  gauges.vitris->Set(
-      shard == nullptr ? 0 : static_cast<int64_t>(shard->num_vitris()));
-  gauges.height->Set(
-      shard == nullptr ? 0 : static_cast<int64_t>(shard->tree_height()));
-}
-
 Status ShardedViTriIndex::CreateShardLocked(size_t s, uint32_t video_id,
                                             uint32_t num_frames,
                                             const std::vector<ViTri>& vitris) {
@@ -445,20 +415,15 @@ Status ShardedViTriIndex::Insert(uint32_t video_id, uint32_t num_frames,
     // the shard's own exclusive latch serializes writers per shard.
     ReaderLock lock(*latch_);
     if (shards_[s] != nullptr) {
-      VITRI_RETURN_IF_ERROR(shards_[s]->Insert(video_id, num_frames, vitris));
-      RefreshShardGauges(s);
-      return Status::OK();
+      return shards_[s]->Insert(video_id, num_frames, vitris);
     }
   }
   // First video of shard s: exclusive wrapper latch, double-checked.
   WriterLock lock(*latch_);
   if (shards_[s] != nullptr) {
-    VITRI_RETURN_IF_ERROR(shards_[s]->Insert(video_id, num_frames, vitris));
-  } else {
-    VITRI_RETURN_IF_ERROR(CreateShardLocked(s, video_id, num_frames, vitris));
+    return shards_[s]->Insert(video_id, num_frames, vitris);
   }
-  RefreshShardGauges(s);
-  return Status::OK();
+  return CreateShardLocked(s, video_id, num_frames, vitris);
 }
 
 Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
@@ -692,6 +657,85 @@ size_t ShardedViTriIndex::shard_videos(size_t i) const {
   ReaderLock lock(*latch_);
   if (i >= shards_.size() || shards_[i] == nullptr) return 0;
   return shards_[i]->stored_videos();
+}
+
+void ShardedViTriIndex::WriteStatsJson(json::JsonWriter* w) const {
+  ReaderLock lock(*latch_);
+  size_t videos = 0;
+  size_t vitris = 0;
+  size_t live = 0;
+  uint32_t height = 0;
+  uint64_t generation = 0;
+  uint64_t commits = 0;
+  uint64_t durable_commits = 0;
+  json::JsonWriter per_shard;
+  per_shard.BeginArray();
+  for (const std::unique_ptr<ViTriIndex>& shard : shards_) {
+    const size_t shard_videos = shard ? shard->stored_videos() : 0;
+    const size_t shard_vitris = shard ? shard->num_vitris() : 0;
+    const uint32_t shard_height = shard ? shard->tree_height() : 0;
+    videos += shard_videos;
+    vitris += shard_vitris;
+    height = std::max(height, shard_height);
+    if (shard != nullptr) {
+      ++live;
+      generation = std::max(generation, shard->generation());
+      commits += shard->wal_commits();
+      durable_commits += shard->wal_durable_commits();
+    }
+    per_shard.BeginObject();
+    per_shard.Key("videos");
+    per_shard.Uint(shard_videos);
+    per_shard.Key("vitris");
+    per_shard.Uint(shard_vitris);
+    per_shard.Key("tree_height");
+    per_shard.Uint(shard_height);
+    per_shard.Key("pool");
+    per_shard.BeginObject();
+    storage::WriteIoSnapshotFields(
+        shard ? shard->io_stats().Snapshot() : storage::IoSnapshot{},
+        &per_shard);
+    per_shard.Key("resident");
+    per_shard.Uint(shard ? shard->pool_resident() : 0);
+    per_shard.Key("shards");
+    per_shard.BeginArray();
+    if (shard != nullptr) {
+      for (const storage::IoSnapshot& pool_shard : shard->shard_io_stats()) {
+        per_shard.BeginObject();
+        storage::WriteIoSnapshotFields(pool_shard, &per_shard);
+        per_shard.EndObject();
+      }
+    }
+    per_shard.EndArray();
+    per_shard.EndObject();
+    per_shard.EndObject();
+  }
+  per_shard.EndArray();
+
+  w->BeginObject();
+  w->Key("videos");
+  w->Uint(videos);
+  w->Key("vitris");
+  w->Uint(vitris);
+  w->Key("tree_height");
+  w->Uint(height);
+  w->Key("shards");
+  w->Uint(num_shards_);
+  w->Key("live_shards");
+  w->Uint(live);
+  w->Key("assignment");
+  w->String(ShardAssignmentName(options_.assignment));
+  w->Key("durable");
+  w->Bool(!dur_dir_.empty());
+  w->Key("generation");
+  w->Uint(generation);
+  w->Key("wal_commits");
+  w->Uint(commits);
+  w->Key("wal_durable_commits");
+  w->Uint(durable_commits);
+  w->Key("per_shard");
+  w->RawValue(per_shard.str());
+  w->EndObject();
 }
 
 const ViTriIndex* ShardedViTriIndex::shard(size_t i) const {

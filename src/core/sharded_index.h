@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "common/annotated_lock.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "core/index.h"
 #include "core/vitri.h"
+
+namespace vitri::json {
+class JsonWriter;
+}  // namespace vitri::json
 
 namespace vitri::core {
 
@@ -210,6 +213,14 @@ class ShardedViTriIndex {
   /// Videos stored in shard i (0 for empty shards).
   size_t shard_videos(size_t i) const VITRI_EXCLUDES(*latch_);
 
+  /// Writes the index's stats object: the totals the accessors above
+  /// report, plus `per_shard` (one entry per shard, empty ones zero):
+  /// videos, vitris, tree_height and `pool`, the shard's folded pool
+  /// counters, resident pages and one counter object per pool shard.
+  /// Read from the shards themselves under one shared hold of the
+  /// wrapper latch, so the numbers belong to this index alone.
+  void WriteStatsJson(json::JsonWriter* w) const VITRI_EXCLUDES(*latch_);
+
   /// Shard i, or nullptr while it is empty. A non-null pointer stays
   /// valid for the wrapper's lifetime (slots only ever go null →
   /// non-null), so callers may hold it across the latch release.
@@ -223,8 +234,8 @@ class ShardedViTriIndex {
  private:
   ShardedViTriIndex() = default;
 
-  /// Sizes the shard table (all slots empty) and its gauges for
-  /// `num_shards` shards. Caller holds the latch exclusively.
+  /// Sizes the shard table (all slots empty) for `num_shards` shards.
+  /// Caller holds the latch exclusively.
   void InitShardsLocked(size_t num_shards) VITRI_REQUIRES(*latch_);
 
   /// Builds the per-shard ViTriIndexOptions (injecting the pinned
@@ -237,11 +248,6 @@ class ShardedViTriIndex {
   Status CreateShardLocked(size_t s, uint32_t video_id, uint32_t num_frames,
                            const std::vector<ViTri>& vitris)
       VITRI_REQUIRES(*latch_);
-
-  /// Pushes shard s's content gauges (index.shard.<s>.videos/vitris/
-  /// height) to the metrics registry. Caller holds the latch (shared is
-  /// enough: gauges are atomic).
-  void RefreshShardGauges(size_t s) const VITRI_REQUIRES_SHARED(*latch_);
 
   ShardedIndexOptions options_;
   size_t num_shards_ = 1;
@@ -257,15 +263,6 @@ class ShardedViTriIndex {
   /// (shards Insert creates later too). Empty while not durable.
   std::string dur_dir_ VITRI_GUARDED_BY(*latch_);
   DurabilityOptions dur_ VITRI_GUARDED_BY(*latch_);
-  /// Cached registry pointers for the per-shard content gauges
-  /// ({videos, vitris, height} per shard); registry lookups take a map
-  /// lock, so they happen once at construction.
-  struct ShardGauges {
-    metrics::Gauge* videos = nullptr;
-    metrics::Gauge* vitris = nullptr;
-    metrics::Gauge* height = nullptr;
-  };
-  std::vector<ShardGauges> shard_gauges_;
 };
 
 /// Streaming construction front-end for the out-of-core ingest path:

@@ -499,31 +499,8 @@ std::string Server::BuildStatsJson() {
   w.Uint(invalid_requests_.load(std::memory_order_relaxed));
   w.Key("responses_ok");
   w.Uint(responses_ok_.load(std::memory_order_relaxed));
-  // Per-shard contents live in the metrics registry as index.shard.<i>.*
-  // gauges; this block is the whole index.
   w.Key("index");
-  w.BeginObject();
-  w.Key("videos");
-  w.Uint(sharded_->num_videos());
-  w.Key("vitris");
-  w.Uint(sharded_->num_vitris());
-  w.Key("tree_height");
-  w.Uint(sharded_->tree_height());
-  w.Key("shards");
-  w.Uint(sharded_->num_shards());
-  w.Key("live_shards");
-  w.Uint(sharded_->live_shards());
-  w.Key("assignment");
-  w.String(core::ShardAssignmentName(sharded_->assignment()));
-  w.Key("durable");
-  w.Bool(sharded_->durable());
-  w.Key("generation");
-  w.Uint(sharded_->generation());
-  w.Key("wal_commits");
-  w.Uint(sharded_->wal_commits());
-  w.Key("wal_durable_commits");
-  w.Uint(sharded_->wal_durable_commits());
-  w.EndObject();
+  sharded_->WriteStatsJson(&w);
   w.EndObject();
   w.Key("metrics");
   w.RawValue(metrics::Registry::Instance().ToJson());

@@ -61,7 +61,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       << "page size must leave room for the integrity footer";
   const size_t num_shards = ResolveShardCount(capacity_, options_);
   shards_.reserve(num_shards);
-  auto& registry = metrics::Registry::Instance();
   for (size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->index = i;
@@ -76,14 +75,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity,
       shard->free_list.push_back(slot - 1);
     }
     shard->replacer = ClockReplacer(frames);
-    const std::string prefix = "buffer_pool.shard." + std::to_string(i) + ".";
-    shard->metrics.fetches = registry.GetCounter(prefix + "fetches");
-    shard->metrics.hits = registry.GetCounter(prefix + "hits");
-    shard->metrics.evictions = registry.GetCounter(prefix + "evictions");
-    shard->metrics.prefetch_issued =
-        registry.GetCounter(prefix + "prefetch_issued");
-    shard->metrics.prefetch_hits =
-        registry.GetCounter(prefix + "prefetch_hits");
     shards_.push_back(std::move(shard));
   }
   if (options_.prefetch_threads > 0) {
@@ -99,19 +90,11 @@ BufferPool::~BufferPool() {
     VITRI_LOG(kError) << "BufferPool flush on destruction failed: "
                       << s.ToString();
   }
-  // The resident gauge is process-wide across pools; retire our frames.
-  VITRI_METRIC_GAUGE("storage.pool.resident")
-      ->Add(-static_cast<int64_t>(resident()));
 }
 
 Result<PageRef> BufferPool::Fetch(PageId id) {
   Shard& s = ShardFor(id);
   ++s.stats.logical_reads;
-  s.metrics.fetches->Increment();
-  // Registry counters are cumulative process metrics, deliberately
-  // separate from the IoStats: validators save/restore IoStats, and
-  // queries report IoStats deltas, while these only ever count up.
-  VITRI_METRIC_COUNTER("storage.pool.fetches")->Increment();
   VITRI_ASSIGN_OR_RETURN(uint8_t * data, LoadPage(s, id, /*demand=*/true));
   return PageRef(this, id, data);
 }
@@ -121,7 +104,6 @@ Result<PageRef> BufferPool::New() {
   VITRI_ASSIGN_OR_RETURN(const PageId id, pager_->Allocate());
   Shard& s = ShardFor(id);
   ++s.stats.allocations;
-  VITRI_METRIC_COUNTER("storage.pool.allocations")->Increment();
   VITRI_ASSIGN_OR_RETURN(const size_t slot, ClaimSlot(s));
   Frame& f = s.frames[slot];
   MutexLock lock(s.latch);
@@ -136,7 +118,6 @@ Result<PageRef> BufferPool::New() {
   f.prefetched = false;
   std::fill(f.data.begin(), f.data.end(), 0);
   s.table.emplace(id, slot);
-  VITRI_METRIC_GAUGE("storage.pool.resident")->Add(1);
   VITRI_DCHECK_OK(ValidateShardLocked(s));
   return PageRef(this, id, f.data.data());
 }
@@ -150,7 +131,6 @@ void BufferPool::Prefetch(PageId id) {
   }
   pager_->WillNeed(id, options_.readahead_pages);
   ++s.stats.prefetch_issued;
-  s.metrics.prefetch_issued->Increment();
   if (prefetch_pool_ == nullptr) return;
   {
     MutexLock lock(prefetch_mu_);
@@ -201,12 +181,9 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
         Frame& f = s.frames[it->second];
         if (!demand) return f.data.data();  // Resident; prefetch is done.
         ++s.stats.cache_hits;
-        s.metrics.hits->Increment();
-        VITRI_METRIC_COUNTER("storage.pool.hits")->Increment();
         if (f.prefetched) {
           f.prefetched = false;
           ++s.stats.prefetch_hits;
-          s.metrics.prefetch_hits->Increment();
         }
         if (f.pin_count == 0) s.replacer.Pin(it->second);
         ++f.pin_count;
@@ -233,7 +210,6 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
       f.prefetched = false;
       s.table.emplace(id, slot);
       ++s.stats.physical_reads;
-      if (demand) VITRI_METRIC_COUNTER("storage.pool.misses")->Increment();
     }
 
     // The transfer runs unlatched; `loading` marks the bytes as ours.
@@ -247,7 +223,6 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
     if (!status.ok()) {
       if (read.ok()) {
         ++s.stats.checksum_failures;
-        VITRI_METRIC_COUNTER("storage.pool.checksum_failures")->Increment();
         s.corrupt.insert(id);
       }
       s.table.erase(id);
@@ -257,7 +232,6 @@ Result<uint8_t*> BufferPool::LoadPage(Shard& s, PageId id, bool demand) {
       s.cv.NotifyAll();
       return status;
     }
-    VITRI_METRIC_GAUGE("storage.pool.resident")->Add(1);
     if (!demand) {
       f.pin_count = 0;
       f.prefetched = true;
@@ -290,9 +264,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
       vf.id = kInvalidPageId;
       vf.prefetched = false;
       ++s.stats.evictions;
-      s.metrics.evictions->Increment();
-      VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
-      VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
       return victim;
     }
     s.evicting.insert(victim_id);
@@ -304,7 +275,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
   Frame& vf = s.frames[victim];
   StampPageFooter(vf.data.data(), pager_->page_size(), victim_id);
   ++s.stats.physical_writes;
-  VITRI_METRIC_COUNTER("storage.pool.writebacks")->Increment();
   const Status written = pager_->Write(victim_id, vf.data.data());
 
   MutexLock lock(s.latch);
@@ -321,9 +291,6 @@ Result<size_t> BufferPool::ClaimSlot(Shard& s) {
   vf.id = kInvalidPageId;
   vf.prefetched = false;
   ++s.stats.evictions;
-  s.metrics.evictions->Increment();
-  VITRI_METRIC_COUNTER("storage.pool.evictions")->Increment();
-  VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
   return victim;
 }
 
@@ -358,7 +325,6 @@ Status BufferPool::EvictAll() {
       f.prefetched = false;
       s.free_list.push_back(slot);
       it = s.table.erase(it);
-      VITRI_METRIC_GAUGE("storage.pool.resident")->Add(-1);
     }
   }
   return Status::OK();
@@ -379,7 +345,6 @@ void BufferPool::Unpin(PageId id, bool dirty) {
 Status BufferPool::WriteBackLocked(Shard& s, Frame& frame) {
   if (!frame.dirty) return Status::OK();
   ++s.stats.physical_writes;
-  VITRI_METRIC_COUNTER("storage.pool.writebacks")->Increment();
   StampPageFooter(frame.data.data(), pager_->page_size(), frame.id);
   VITRI_RETURN_IF_ERROR(pager_->Write(frame.id, frame.data.data()));
   frame.dirty = false;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/annotated_lock.h"
-#include "common/metrics.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
 #include "storage/io_stats.h"
@@ -247,17 +246,6 @@ class BufferPool {
     bool prefetched = false;
   };
 
-  /// Cached per-shard registry counters (buffer_pool.shard.<i>.*).
-  /// Looked up once at construction — the VITRI_METRIC_* macros cache
-  /// per *call site*, which would pin every shard to shard 0's counter.
-  struct ShardMetrics {
-    metrics::Counter* fetches = nullptr;
-    metrics::Counter* hits = nullptr;
-    metrics::Counter* evictions = nullptr;
-    metrics::Counter* prefetch_issued = nullptr;
-    metrics::Counter* prefetch_hits = nullptr;
-  };
-
   /// One independently latched sub-pool. The latch guards the
   /// bookkeeping containers and every Frame's bookkeeping fields; frame
   /// *data* buffers are handed off to I/O threads via the loading flag
@@ -282,7 +270,6 @@ class BufferPool {
     std::unordered_set<PageId> evicting VITRI_GUARDED_BY(latch);
     IoStats stats;
     std::set<PageId> corrupt VITRI_GUARDED_BY(latch);
-    ShardMetrics metrics;
   };
 
   Shard& ShardFor(PageId id) { return *shards_[id % shards_.size()]; }

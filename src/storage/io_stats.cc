@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.h"
+
 namespace vitri::storage {
 
 IoSnapshot IoStats::Snapshot() const {
@@ -45,6 +47,29 @@ void RestoreIoStats(IoStats* stats, const IoSnapshot& saved) {
                                std::memory_order_relaxed);
   stats->prefetch_hits.store(saved.prefetch_hits,
                              std::memory_order_relaxed);
+}
+
+void WriteIoSnapshotFields(const IoSnapshot& s, json::JsonWriter* w) {
+  w->Key("logical_reads");
+  w->Uint(s.logical_reads);
+  w->Key("cache_hits");
+  w->Uint(s.cache_hits);
+  w->Key("physical_reads");
+  w->Uint(s.physical_reads);
+  w->Key("physical_writes");
+  w->Uint(s.physical_writes);
+  w->Key("allocations");
+  w->Uint(s.allocations);
+  w->Key("checksum_failures");
+  w->Uint(s.checksum_failures);
+  w->Key("retries");
+  w->Uint(s.retries);
+  w->Key("evictions");
+  w->Uint(s.evictions);
+  w->Key("prefetch_issued");
+  w->Uint(s.prefetch_issued);
+  w->Key("prefetch_hits");
+  w->Uint(s.prefetch_hits);
 }
 
 ScopedIoStatsRestore::ScopedIoStatsRestore(IoStats* stats)

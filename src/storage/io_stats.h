@@ -5,6 +5,10 @@
 #include <cstdint>
 #include <string>
 
+namespace vitri::json {
+class JsonWriter;
+}  // namespace vitri::json
+
 namespace vitri::storage {
 
 /// Counters describing page traffic. "Logical" events are buffer-pool
@@ -127,6 +131,10 @@ struct IoSnapshot {
 
   std::string ToString() const;
 };
+
+/// Writes every field of `s` as a key/value pair into the JSON object
+/// `w` has open: the one encoding of pool counters in traces and stats.
+void WriteIoSnapshotFields(const IoSnapshot& s, json::JsonWriter* w);
 
 /// Writes a snapshot's values back into live counters. Like IoStats
 /// assignment, this silently drops increments from concurrently running

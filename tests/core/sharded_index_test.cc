@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/random.h"
 #include "core/index.h"
 #include "core/out_of_core.h"
@@ -809,12 +810,41 @@ TEST(OutOfCoreTest, FinishingAnEmptyBuilderFails) {
 
 // --- Scatter-gather concurrency (tsan-stress CI lane) ---------------
 
+/// One poll of the stats block: it parses, has one per_shard entry per
+/// shard, and its per-shard contents add up to its own totals (one
+/// pass under one wrapper-latch hold, so a racing insert cannot split
+/// them).
+bool StatsBlockIsConsistent(const ShardedViTriIndex& index) {
+  json::JsonWriter w;
+  index.WriteStatsJson(&w);
+  auto doc = json::ParseJson(w.str());
+  if (!doc.ok()) return false;
+  const json::JsonValue* per_shard = doc->Find("per_shard");
+  if (per_shard == nullptr ||
+      per_shard->array.size() != index.num_shards()) {
+    return false;
+  }
+  double videos = 0.0;
+  double vitris = 0.0;
+  double live = 0.0;
+  for (const json::JsonValue& shard : per_shard->array) {
+    videos += shard.Find("videos")->number;
+    vitris += shard.Find("vitris")->number;
+    if (shard.Find("vitris")->number > 0.0) live += 1.0;
+  }
+  return videos == doc->Find("videos")->number &&
+         vitris == doc->Find("vitris")->number &&
+         live == doc->Find("live_shards")->number;
+}
+
 /// Two BatchKnn readers race two writers whose inserts create shards 2
 /// and 3 mid-flight. With a non-empty `durable_dir` the index is durable
 /// there, so each created shard is made durable under the wrapper latch
 /// while a third thread checkpoints, and the directory must reopen to
-/// the same contents.
-void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir) {
+/// the same contents. With `poll_stats`, one more thread polls the
+/// stats block throughout.
+void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir,
+                                    bool poll_stats = false) {
   World w = MakeWorld(6);
   // Start with shards {0,1} populated; shards 2 and 3 are created
   // lazily by the insert threads while queries are in flight, covering
@@ -892,14 +922,24 @@ void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
+  std::atomic<int> stats_failures{0};
+  std::thread poller([&] {
+    while (poll_stats) {
+      if (!StatsBlockIsConsistent(*index)) stats_failures.fetch_add(1);
+      if (stop.load(std::memory_order_relaxed)) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   for (std::thread& writer : writers) writer.join();
   stop.store(true);
   for (std::thread& reader : readers) reader.join();
   checkpointer.join();
+  poller.join();
 
   EXPECT_EQ(query_failures.load(), 0);
   EXPECT_EQ(insert_failures.load(), 0);
   EXPECT_EQ(checkpoint_failures.load(), 0);
+  EXPECT_EQ(stats_failures.load(), 0);
   EXPECT_EQ(index->live_shards(), 4u);
   EXPECT_EQ(index->num_vitris(), w.set.vitris.size());
   EXPECT_TRUE(index->ValidateInvariants().ok());
@@ -930,6 +970,10 @@ void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir) {
 
 TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
   RunConcurrentBatchKnnAndInsert("");
+}
+
+TEST(ShardedConcurrencyTest, StatsPollsRaceBatchKnnAndShardCreation) {
+  RunConcurrentBatchKnnAndInsert("", /*poll_stats=*/true);
 }
 
 TEST(ShardedConcurrencyTest, DurableShardCreationRacesCheckpoints) {

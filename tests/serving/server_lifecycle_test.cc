@@ -504,6 +504,128 @@ TEST(ServingLifecycleTest, TraceEveryRecordsSpansOfEveryShard) {
   EXPECT_TRUE(server.Shutdown().ok());
 }
 
+/// Deep equality of two parsed JSON values.
+bool SameJson(const json::JsonValue& a, const json::JsonValue& b) {
+  if (a.kind != b.kind || a.bool_value != b.bool_value ||
+      a.number != b.number || a.string_value != b.string_value ||
+      a.array.size() != b.array.size() ||
+      a.object.size() != b.object.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.array.size(); ++i) {
+    if (!SameJson(a.array[i], b.array[i])) return false;
+  }
+  for (const auto& [key, value] : a.object) {
+    const json::JsonValue* other = b.Find(key);
+    if (other == nullptr || !SameJson(value, *other)) return false;
+  }
+  return true;
+}
+
+/// Every IoSnapshot field of `want` appears in `got` with its value.
+void ExpectCounters(const json::JsonValue& got,
+                    const storage::IoSnapshot& want,
+                    const std::string& label) {
+  json::JsonWriter w;
+  w.BeginObject();
+  storage::WriteIoSnapshotFields(want, &w);
+  w.EndObject();
+  auto expected = json::ParseJson(w.str());
+  ASSERT_TRUE(expected.ok());
+  for (const auto& [key, value] : expected->object) {
+    const json::JsonValue* field = got.Find(key);
+    ASSERT_NE(field, nullptr) << label << " " << key;
+    EXPECT_EQ(field->number, value.number) << label << " " << key;
+  }
+}
+
+/// The "index" block of the server's stats document.
+json::JsonValue IndexBlock(Server& server) {
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::JsonValue* srv = stats.ok() ? stats->Find("server") : nullptr;
+  const json::JsonValue* index = srv ? srv->Find("index") : nullptr;
+  EXPECT_NE(index, nullptr);
+  return index ? *index : json::JsonValue{};
+}
+
+TEST(ServingLifecycleTest, StatsIndexBlockReadsEveryShardOfItsOwnIndex) {
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(4));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 4u);
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  {
+    auto client = Client::ConnectUnix(dir.socket_path());
+    ASSERT_TRUE(client.ok());
+    auto resp = client->Knn(MakeKnn(query, frames, 1));
+    ASSERT_TRUE(resp.ok());
+    ASSERT_EQ(resp->head.status, WireStatus::kOk);
+  }
+
+  // The per-shard entries tile the index, and each shard's pool is that
+  // shard's own counters: folded, resident, and one per pool shard.
+  const json::JsonValue block = IndexBlock(server);
+  const json::JsonValue* per_shard = block.Find("per_shard");
+  ASSERT_NE(per_shard, nullptr);
+  ASSERT_EQ(per_shard->array.size(), 4u);
+  double videos = 0.0;
+  double vitris = 0.0;
+  double fetches = 0.0;
+  for (size_t i = 0; i < 4; ++i) {
+    const std::string label = "shard " + std::to_string(i);
+    const json::JsonValue& entry = per_shard->array[i];
+    const core::ViTriIndex* shard = index->shard(i);
+    ASSERT_NE(shard, nullptr);
+    EXPECT_EQ(entry.Find("videos")->number,
+              static_cast<double>(shard->stored_videos()));
+    videos += entry.Find("videos")->number;
+    vitris += entry.Find("vitris")->number;
+    const json::JsonValue* pool = entry.Find("pool");
+    ASSERT_NE(pool, nullptr) << label;
+    ExpectCounters(*pool, shard->io_stats().Snapshot(), label);
+    fetches += pool->Find("logical_reads")->number;
+    EXPECT_EQ(pool->Find("resident")->number,
+              static_cast<double>(shard->pool_resident()));
+    const std::vector<storage::IoSnapshot> pool_shards =
+        shard->shard_io_stats();
+    const json::JsonValue* pool_shards_json = pool->Find("shards");
+    ASSERT_NE(pool_shards_json, nullptr) << label;
+    ASSERT_EQ(pool_shards_json->array.size(), pool_shards.size()) << label;
+    for (size_t j = 0; j < pool_shards.size(); ++j) {
+      ExpectCounters(pool_shards_json->array[j], pool_shards[j],
+                     label + " pool shard " + std::to_string(j));
+    }
+  }
+  EXPECT_EQ(videos, block.Find("videos")->number);
+  EXPECT_EQ(videos, static_cast<double>(index->num_videos()));
+  EXPECT_EQ(vitris, block.Find("vitris")->number);
+  EXPECT_GT(fetches, 0.0);
+
+  // A second index in the same process, built, queried and grown, owns
+  // its own pools: the first server's block does not move.
+  World other_world = MakeWorld(0.004, 0.15, 7);
+  auto other =
+      core::ShardedViTriIndex::Build(other_world.set, DefaultOptions(4));
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(other->Knn(query, frames, 3, core::KnnMethod::kComposed).ok());
+  auto other_query = query;
+  const auto new_id =
+      static_cast<uint32_t>(other_world.set.frame_counts.size());
+  for (core::ViTri& v : other_query) v.video_id = new_id;
+  ASSERT_TRUE(other->Insert(new_id, frames, other_query).ok());
+  EXPECT_TRUE(SameJson(block, IndexBlock(server)));
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
 TEST(ServingLifecycleTest, ShutdownCheckpointsADurableShardedIndex) {
   ScopedDir dir;
   ASSERT_TRUE(dir.ok());

@@ -1,7 +1,8 @@
 // End-to-end contract of `vitri stats --json`: the real binary's output
 // must parse with json::ParseJson and carry the documented shape
-// (snapshot block, metrics registry with counters/gauges/histograms).
-// The binary path is baked in by CMake (VITRI_CLI_PATH).
+// (snapshot block, the exercise index's stats block, metrics registry
+// with counters/gauges/histograms). The binary path is baked in by
+// CMake (VITRI_CLI_PATH).
 
 #include <cstdio>
 #include <string>
@@ -27,6 +28,27 @@ std::string RunAndCapture(const std::string& command) {
   return out;
 }
 
+/// Entry 0 of the index block's `per_shard` array. Index shard 0
+/// always exists and, on the exercise corpus, always holds videos.
+const json::JsonValue* FirstShard(const json::JsonValue& index) {
+  const json::JsonValue* per_shard = index.Find("per_shard");
+  if (per_shard == nullptr || !per_shard->is_array() ||
+      per_shard->array.empty()) {
+    return nullptr;
+  }
+  return &per_shard->array[0];
+}
+
+/// Index shard 0's pool fetch count, or -1 when the block lacks it.
+double FirstShardFetches(const json::JsonValue& index) {
+  const json::JsonValue* shard = FirstShard(index);
+  if (shard == nullptr) return -1.0;
+  const json::JsonValue* pool = shard->Find("pool");
+  if (pool == nullptr) return -1.0;
+  const json::JsonValue* fetches = pool->Find("logical_reads");
+  return fetches == nullptr ? -1.0 : fetches->number;
+}
+
 TEST(CliStatsTest, JsonOutputRoundTripsThroughTheParser) {
   const std::string out =
       RunAndCapture(std::string(VITRI_CLI_PATH) + " stats --exercise --json");
@@ -46,9 +68,13 @@ TEST(CliStatsTest, JsonOutputRoundTripsThroughTheParser) {
   ASSERT_NE(counters, nullptr);
   ASSERT_TRUE(counters->is_object());
   // The exercise workload ran queries through the pool and the index,
-  // so the core counters exist and counted.
-  for (const char* name :
-       {"storage.pool.fetches", "btree.range_scans", "query.knn.count"}) {
+  // so the index block's pool counters and the core registry counters
+  // exist and counted.
+  const json::JsonValue* index = parsed->Find("index");
+  ASSERT_NE(index, nullptr) << out;
+  ASSERT_TRUE(index->is_object()) << out;
+  EXPECT_GT(FirstShardFetches(*index), 0.0) << out;
+  for (const char* name : {"btree.range_scans", "query.knn.count"}) {
     const json::JsonValue* c = counters->Find(name);
     ASSERT_NE(c, nullptr) << name << "\n" << out;
     EXPECT_TRUE(c->is_number()) << name;
@@ -70,30 +96,54 @@ TEST(CliStatsTest, JsonOutputRoundTripsThroughTheParser) {
 TEST(CliStatsTest, TextOutputListsTheRegistry) {
   const std::string out =
       RunAndCapture(std::string(VITRI_CLI_PATH) + " stats --exercise");
-  EXPECT_NE(out.find("storage.pool.fetches"), std::string::npos) << out;
   EXPECT_NE(out.find("query.knn.latency_us"), std::string::npos) << out;
+  // The index block is one "index: <json>" line, the same document the
+  // JSON output nests under "index".
+  const size_t begin = out.find("index: {");
+  ASSERT_NE(begin, std::string::npos) << out;
+  const size_t json_begin = begin + std::string("index: ").size();
+  const size_t end = out.find('\n', json_begin);
+  auto index = json::ParseJson(out.substr(json_begin, end - json_begin));
+  ASSERT_TRUE(index.ok()) << index.status().ToString() << "\n" << out;
+  EXPECT_GT(FirstShardFetches(*index), 0.0) << out;
 }
 
 TEST(CliStatsTest, ExerciseReportsShardGauges) {
-  // The exercise workload also runs its corpus through a sharded index
-  // (shard count via VITRI_INDEX_SHARDS, >= 1), so the per-shard gauges
-  // of DESIGN.md §17 must be live in the JSON document.
+  // The exercise workload runs its corpus through a sharded index
+  // (shard count via VITRI_INDEX_SHARDS, >= 1), so the index block
+  // carries one live per_shard entry per shard (DESIGN.md §17) whose
+  // contents tile the corpus, each with its pool's counters.
   const std::string out =
       RunAndCapture(std::string(VITRI_CLI_PATH) + " stats --exercise --json");
   auto parsed = json::ParseJson(out);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << out;
-  const json::JsonValue* metrics = parsed->Find("metrics");
-  ASSERT_NE(metrics, nullptr);
-  const json::JsonValue* gauges = metrics->Find("gauges");
-  ASSERT_NE(gauges, nullptr);
-  ASSERT_TRUE(gauges->is_object());
-  for (const char* name : {"index.shard.0.videos", "index.shard.0.vitris",
-                           "index.shard.0.height"}) {
-    const json::JsonValue* g = gauges->Find(name);
+  const json::JsonValue* index = parsed->Find("index");
+  ASSERT_NE(index, nullptr) << out;
+  const json::JsonValue* first = FirstShard(*index);
+  ASSERT_NE(first, nullptr) << out;
+  for (const char* name : {"videos", "vitris", "tree_height"}) {
+    const json::JsonValue* g = first->Find(name);
     ASSERT_NE(g, nullptr) << name << "\n" << out;
     EXPECT_TRUE(g->is_number()) << name;
     EXPECT_GT(g->number, 0.0) << name;
   }
+  const json::JsonValue* shards = index->Find("shards");
+  ASSERT_NE(shards, nullptr) << out;
+  const json::JsonValue* per_shard = index->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr) << out;
+  ASSERT_EQ(per_shard->array.size(), static_cast<size_t>(shards->number));
+  double videos = 0.0;
+  double vitris = 0.0;
+  for (const json::JsonValue& shard : per_shard->array) {
+    videos += shard.Find("videos")->number;
+    vitris += shard.Find("vitris")->number;
+    const json::JsonValue* pool = shard.Find("pool");
+    ASSERT_NE(pool, nullptr) << out;
+    EXPECT_NE(pool->Find("resident"), nullptr) << out;
+    EXPECT_NE(pool->Find("shards"), nullptr) << out;
+  }
+  EXPECT_EQ(videos, index->Find("videos")->number) << out;
+  EXPECT_EQ(vitris, index->Find("vitris")->number) << out;
 }
 
 /// Keeps only the result lines ("  video N  similarity S") of a `vitri

@@ -136,20 +136,31 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
     EXPECT_GT(c->number, 0.0) << name;
   }
 
-  // The sharded buffer pool registered per-shard counters at index
-  // construction; the query bumped shard 0's fetch counter (whatever
-  // the shard count, shard 0 always exists).
-  for (const char* name :
-       {"buffer_pool.shard.0.fetches", "buffer_pool.shard.0.hits",
-        "buffer_pool.shard.0.evictions",
-        "buffer_pool.shard.0.prefetch_issued",
-        "buffer_pool.shard.0.prefetch_hits"}) {
-    EXPECT_NE(counters->Find(name), nullptr) << name << "\n" << out;
+  // The index block reads each shard's pool: every pool shard of index
+  // shard 0 reports its counters, and the query bumped shard 0's fetch
+  // count (whatever the shard count, shard 0 always exists and holds
+  // videos on this corpus).
+  const json::JsonValue* per_shard = idx->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr) << out;
+  ASSERT_EQ(per_shard->array.size(), 2u) << out;
+  const json::JsonValue* pool = per_shard->array[0].Find("pool");
+  ASSERT_NE(pool, nullptr) << out;
+  const json::JsonValue* pool_shards = pool->Find("shards");
+  ASSERT_NE(pool_shards, nullptr) << out;
+  ASSERT_FALSE(pool_shards->array.empty()) << out;
+  double shard_fetch_sum = 0.0;
+  for (const json::JsonValue& pool_shard : pool_shards->array) {
+    for (const char* name : {"logical_reads", "cache_hits", "evictions",
+                             "prefetch_issued", "prefetch_hits"}) {
+      EXPECT_NE(pool_shard.Find(name), nullptr) << name << "\n" << out;
+    }
+    shard_fetch_sum += pool_shard.Find("logical_reads")->number;
   }
-  const json::JsonValue* shard_fetches =
-      counters->Find("buffer_pool.shard.0.fetches");
-  ASSERT_NE(shard_fetches, nullptr);
-  EXPECT_GT(shard_fetches->number, 0.0) << out;
+  const json::JsonValue* fetches = pool->Find("logical_reads");
+  ASSERT_NE(fetches, nullptr) << out;
+  EXPECT_GT(fetches->number, 0.0) << out;
+  // The folded count is the sum of the pool shards' counts.
+  EXPECT_EQ(fetches->number, shard_fetch_sum) << out;
 
   // ... and the query ran through the histograms.
   const json::JsonValue* histograms = metrics->Find("histograms");
@@ -176,8 +187,8 @@ TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {
 TEST(VitridSmokeTest, StatsReportsShardedIndexBlock) {
   // An in-process Server over a 4-shard scatter-gather index: the stats
   // document must carry the sharded index block (shards, live_shards,
-  // assignment, durable=false) and the per-shard index.shard.<i>.*
-  // gauges registered at build time (DESIGN.md §17).
+  // assignment, durable=false) and its per_shard entries, which tile
+  // the corpus (DESIGN.md §17).
   char tmpl[] = "/tmp/vitrid_sharded_XXXXXX";
   ASSERT_NE(mkdtemp(tmpl), nullptr);
   const std::string dir = tmpl;
@@ -240,22 +251,18 @@ TEST(VitridSmokeTest, StatsReportsShardedIndexBlock) {
   ASSERT_NE(videos, nullptr) << out;
   EXPECT_EQ(videos->number, static_cast<double>(index->num_videos())) << out;
 
-  const json::JsonValue* metrics = parsed->Find("metrics");
-  ASSERT_NE(metrics, nullptr) << out;
-  const json::JsonValue* gauges = metrics->Find("gauges");
-  ASSERT_NE(gauges, nullptr) << out;
-  double gauge_videos = 0.0;
-  for (size_t s = 0; s < 4; ++s) {
-    for (const char* suffix : {"videos", "vitris", "height"}) {
-      const std::string name =
-          "index.shard." + std::to_string(s) + "." + suffix;
-      const json::JsonValue* g = gauges->Find(name);
-      ASSERT_NE(g, nullptr) << name << "\n" << out;
-      if (std::string(suffix) == "videos") gauge_videos += g->number;
+  const json::JsonValue* per_shard = idx->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr) << out;
+  ASSERT_EQ(per_shard->array.size(), 4u) << out;
+  double shard_videos = 0.0;
+  for (const json::JsonValue& shard : per_shard->array) {
+    for (const char* key : {"videos", "vitris", "tree_height", "pool"}) {
+      ASSERT_NE(shard.Find(key), nullptr) << key << "\n" << out;
     }
+    shard_videos += shard.Find("videos")->number;
   }
-  // The per-shard gauges tile the corpus exactly.
-  EXPECT_EQ(gauge_videos, static_cast<double>(index->num_videos())) << out;
+  // The per-shard entries tile the corpus exactly.
+  EXPECT_EQ(shard_videos, static_cast<double>(index->num_videos())) << out;
 
   const std::string ack = RunAndCapture(
       std::string(VITRID_PATH) + " shutdown --socket " + socket, &rc);

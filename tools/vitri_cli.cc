@@ -19,7 +19,9 @@
 // `generate` writes a synthetic TV-ad database; `summarize` builds the
 // ViTri snapshot; `stats` reports snapshot statistics plus the
 // process-wide metrics registry (DESIGN.md §12) — `--exercise` runs a
-// small built-in workload first so the registry has data to show;
+// small built-in workload first so the registry has data to show, and
+// adds that workload's index stats block (per-shard contents and pool
+// counters);
 // `query` indexes the snapshot and searches with a near-duplicate of
 // the named database video (`--trace` prints the per-stage spans, each
 // naming its shard);
@@ -35,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -160,12 +163,12 @@ int CmdSummarize(const Args& args) {
   return 0;
 }
 
-// Populates the metrics registry with a small end-to-end workload
-// (synthetic database → summaries → sharded index build, shard count
-// resolved via VITRI_INDEX_SHARDS → single and batched KNN), so `vitri
-// stats --exercise` has live counters, including the index.shard.<i>.*
-// gauges, to report.
-int ExerciseMetrics() {
+// Runs a small end-to-end workload (synthetic database → summaries →
+// sharded index build, shard count resolved via VITRI_INDEX_SHARDS →
+// single and batched KNN), so `vitri stats --exercise` has live
+// registry metrics and an index stats block to report. The index is
+// handed back in `out` so its block can be read before it is destroyed.
+int ExerciseMetrics(std::optional<core::ShardedViTriIndex>* out) {
   video::SynthesizerOptions so;
   so.seed = 2005;
   video::VideoSynthesizer synth(so);
@@ -193,6 +196,7 @@ int ExerciseMetrics() {
   }
   auto batched = index->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
   if (!batched.ok()) return Fail(batched.status());
+  out->emplace(std::move(*index));
   return 0;
 }
 
@@ -205,9 +209,16 @@ int CmdStats(const Args& args) {
                  "stats: --summary and/or --exercise is required\n");
     return 2;
   }
+  std::optional<core::ShardedViTriIndex> index;
   if (exercise) {
-    const int rc = ExerciseMetrics();
+    const int rc = ExerciseMetrics(&index);
     if (rc != 0) return rc;
+  }
+  std::string index_json = "null";
+  if (index.has_value()) {
+    json::JsonWriter w;
+    index->WriteStatsJson(&w);
+    index_json = w.str();
   }
 
   bool have_set = false;
@@ -251,6 +262,8 @@ int CmdStats(const Args& args) {
     } else {
       w.Null();
     }
+    w.Key("index");
+    w.RawValue(index_json);
     w.Key("metrics");
     w.RawValue(metrics::Registry::Instance().ToJson());
     w.EndObject();
@@ -267,6 +280,7 @@ int CmdStats(const Args& args) {
     std::printf("average radius: %.4f\n",
                 total_radius / static_cast<double>(set.size()));
   }
+  if (index.has_value()) std::printf("index: %s\n", index_json.c_str());
   std::printf("%s", metrics::Registry::Instance().ToText().c_str());
   return 0;
 }
