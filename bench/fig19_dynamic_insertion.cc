@@ -163,12 +163,6 @@ int main() {
     return 1;
   }
 
-  std::vector<BatchQuery> batch_queries(summaries.size());
-  for (size_t q = 0; q < summaries.size(); ++q) {
-    batch_queries[q].vitris = summaries[q];
-    batch_queries[q].num_frames = frames[q];
-  }
-
   std::atomic<bool> writer_done{false};
   std::atomic<uint64_t> inserted_videos{0};
   vitri::Stopwatch ingest_clock;
@@ -188,10 +182,13 @@ int main() {
   });
   uint64_t query_rounds = 0;
   while (!writer_done.load(std::memory_order_acquire)) {
-    if (!durable_index->BatchKnn(batch_queries, 50, KnnMethod::kComposed, 4)
-             .ok()) {
-      break;
+    bool ok = true;
+    for (size_t q = 0; ok && q < summaries.size(); ++q) {
+      ok = durable_index->Knn(summaries[q], frames[q], 50,
+                              KnnMethod::kComposed)
+               .ok();
     }
+    if (!ok) break;
     ++query_rounds;
   }
   writer.join();

@@ -22,6 +22,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Internal";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
+    case StatusCode::kDeadlineExceeded:
+      return "DeadlineExceeded";
   }
   return "Unknown";
 }

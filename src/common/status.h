@@ -20,6 +20,7 @@ enum class StatusCode : int {
   kNotSupported = 6,
   kInternal = 7,
   kResourceExhausted = 8,
+  kDeadlineExceeded = 9,
 };
 
 /// Returns a human-readable name for a status code ("Ok", "IoError", ...).
@@ -66,6 +67,9 @@ class [[nodiscard]] Status {
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
+  static Status DeadlineExceeded(std::string msg) {
+    return Status(StatusCode::kDeadlineExceeded, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -85,6 +89,9 @@ class [[nodiscard]] Status {
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
+  }
+  bool IsDeadlineExceeded() const {
+    return code_ == StatusCode::kDeadlineExceeded;
   }
 
  private:

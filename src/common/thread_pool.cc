@@ -5,6 +5,12 @@
 #include "common/check.h"
 
 namespace vitri {
+namespace {
+
+/// The pool whose WorkerLoop runs on this thread (null elsewhere).
+thread_local const ThreadPool* current_pool = nullptr;
+
+}  // namespace
 
 ThreadPool::ThreadPool(size_t num_threads) {
   const size_t count = num_threads == 0 ? 1 : num_threads;
@@ -35,6 +41,9 @@ void ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
+  VITRI_CHECK(current_pool != this)
+      << "ParallelFor called from one of the same pool's workers (the "
+         "caller only waits, so this can deadlock)";
   if (n == 0) return;
   // Per-call completion state lives on the caller's stack: the caller
   // blocks until `remaining` hits zero, so the references the worker
@@ -75,6 +84,7 @@ size_t ThreadPool::HardwareThreads() {
 }
 
 void ThreadPool::WorkerLoop() {
+  current_pool = this;
   for (;;) {
     std::function<void()> task;
     {

@@ -17,11 +17,13 @@ namespace vitri {
 /// batches of similar-sized tasks, so a shared queue is enough.
 ///
 /// Thread-safety: Submit() and ParallelFor() may be called from any
-/// thread, including concurrently. Tasks must not throw (the library is
-/// Status-based; an escaping exception terminates the process) and must
-/// not Submit() work they then wait on from inside the pool — that can
-/// deadlock a fully busy pool. `mu_` guards the task queue and the stop
-/// flag; workers hold no other lock while draining.
+/// thread, including concurrently, except that ParallelFor() must not be
+/// called from one of the same pool's workers: its caller only waits, so
+/// a busy pool would deadlock, and the call aborts instead (VITRI_CHECK).
+/// Tasks must not throw (the library is Status-based; an escaping
+/// exception terminates the process) and must not Submit() work they
+/// then wait on from inside the pool either. `mu_` guards the task queue
+/// and the stop flag; workers hold no other lock while draining.
 class ThreadPool {
  public:
   /// Starts `num_threads` workers (0 is clamped to 1).
@@ -41,7 +43,9 @@ class ThreadPool {
   /// Runs body(i) for every i in [0, n), spread across the workers, and
   /// blocks until all n calls returned. The calling thread only waits;
   /// indices are claimed dynamically, so per-index cost imbalance is
-  /// tolerated. Safe to call repeatedly; each call is independent.
+  /// tolerated. Safe to call repeatedly and from several threads at
+  /// once; each call is independent. Aborts when called from one of
+  /// this pool's own workers (see the class comment).
   void ParallelFor(size_t n, const std::function<void(size_t)>& body)
       VITRI_EXCLUDES(mu_);
 

@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/recovery.h"
 #include "core/similarity.h"
 #include "linalg/frame_matrix.h"
@@ -333,12 +332,17 @@ void ViTriIndex::EvaluateInMemory(const std::vector<ViTri>& query,
   }
 }
 
-Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
+Result<std::vector<VideoMatch>> ViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
-    KnnMethod method, QueryCosts* local, QueryTrace* trace) const {
+    KnnMethod method, QueryCosts* costs, QueryTrace* trace) {
   if (query.empty()) {
     return Status::InvalidArgument("query summary is empty");
   }
+  ReaderLock lock(*latch_);
+  Stopwatch watch;
+  if (trace != nullptr) trace->Begin();
+  const IoSnapshot before = pool_->stats().Snapshot();
+  QueryCosts local;
   std::vector<KeyRange> ranges;
   {
     TraceSpanScope transform_span(trace, "transform", pool_.get());
@@ -347,7 +351,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
 
   std::vector<double> shared(frame_counts_.size(), 0.0);
   const Status scan =
-      KnnScanTree(query, ranges, method, &shared, local, trace);
+      KnnScanTree(query, ranges, method, &shared, &local, trace);
   if (scan.IsCorruption()) {
     // The tree hit a quarantined page. Serve the query from the
     // in-memory copy: same answer (the key ranges only ever *prune*
@@ -356,24 +360,15 @@ Result<std::vector<VideoMatch>> ViTriIndex::KnnCompute(
                         << scan.ToString();
     VITRI_METRIC_COUNTER("query.degraded")->Increment();
     TraceSpanScope refine_span(trace, "refine", pool_.get());
-    EvaluateInMemory(query, &shared, local);
+    EvaluateInMemory(query, &shared, &local);
   } else if (!scan.ok()) {
     return scan;
   }
-  TraceSpanScope rank_span(trace, "rank", pool_.get());
-  return RankSharedFrames(shared, frame_counts_, query_frames, k);
-}
-
-Result<std::vector<VideoMatch>> ViTriIndex::Knn(
-    const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
-    KnnMethod method, QueryCosts* costs, QueryTrace* trace) {
-  ReaderLock lock(*latch_);
-  Stopwatch watch;
-  if (trace != nullptr) trace->Begin();
-  const IoSnapshot before = pool_->stats().Snapshot();
-  QueryCosts local;
-  auto result = KnnCompute(query, query_frames, k, method, &local, trace);
-  if (!result.ok()) return result;
+  std::vector<VideoMatch> result;
+  {
+    TraceSpanScope rank_span(trace, "rank", pool_.get());
+    result = RankSharedFrames(shared, frame_counts_, query_frames, k);
+  }
   const IoSnapshot delta = pool_->stats().Snapshot() - before;
   local.page_accesses = delta.logical_reads;
   local.physical_reads = delta.physical_reads;
@@ -385,78 +380,6 @@ Result<std::vector<VideoMatch>> ViTriIndex::Knn(
       ->Record(static_cast<uint64_t>(local.cpu_seconds * 1e6));
   VITRI_METRIC_HISTOGRAM("query.knn.pages")->Record(local.page_accesses);
   return result;
-}
-
-Result<std::vector<std::vector<VideoMatch>>> ViTriIndex::BatchKnn(
-    const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-    size_t num_threads, QueryCosts* costs,
-    std::vector<QueryTrace>* traces) {
-  // One shared acquisition spans the whole batch; the workers below
-  // must NOT take the latch themselves — a writer arriving mid-batch
-  // could otherwise wedge between the orchestrator's hold and a
-  // worker's acquisition on writer-priority shared_mutex builds.
-  ReaderLock lock(*latch_);
-  Stopwatch watch;
-  const IoSnapshot before = pool_->stats().Snapshot();
-  const size_t n = queries.size();
-  std::vector<std::vector<VideoMatch>> results(n);
-  std::vector<Status> statuses(n, Status::OK());
-  std::vector<QueryCosts> locals(n);
-  if (traces != nullptr) {
-    traces->clear();
-    traces->resize(n);
-  }
-
-  // Each worker reads shared index state (transform, tree, in-memory
-  // ViTris) and writes only its own slots — including its own trace —
-  // so the fan-out is race-free and the per-query computation — hence
-  // the result — is identical to the sequential path whatever the
-  // scheduling. The worker latency histogram is lock-free (atomic
-  // buckets), so recording from every worker is tsan-clean.
-  auto run_one = [&](size_t i) {
-    // The orchestrator's single ReaderLock above covers every worker for
-    // the batch's whole lifetime (ParallelFor joins before it unlocks);
-    // assert that hold to the analysis instead of re-acquiring, which
-    // the fan-out contract above forbids.
-    latch_->AssertHeldShared();
-    Stopwatch worker_watch;
-    QueryTrace* trace = traces == nullptr ? nullptr : &(*traces)[i];
-    if (trace != nullptr) trace->Begin();
-    auto result = KnnCompute(queries[i].vitris, queries[i].num_frames, k,
-                             method, &locals[i], trace);
-    if (trace != nullptr) trace->End();
-    if (result.ok()) {
-      results[i] = std::move(*result);
-    } else {
-      statuses[i] = result.status();
-    }
-    VITRI_METRIC_HISTOGRAM("query.batch.worker_latency_us")
-        ->Record(static_cast<uint64_t>(worker_watch.ElapsedSeconds() * 1e6));
-  };
-
-  if (num_threads <= 1 || n <= 1) {
-    for (size_t i = 0; i < n; ++i) run_one(i);
-  } else {
-    ThreadPool pool(std::min(num_threads, n));
-    pool.ParallelFor(n, run_one);
-  }
-
-  for (const Status& s : statuses) {
-    VITRI_RETURN_IF_ERROR(s);
-  }
-
-  VITRI_METRIC_COUNTER("query.batch.count")->Increment();
-  VITRI_METRIC_COUNTER("query.knn.count")->Increment(n);
-  if (costs != nullptr) {
-    QueryCosts total;
-    for (const QueryCosts& local : locals) total += local;
-    const IoSnapshot delta = pool_->stats().Snapshot() - before;
-    total.page_accesses = delta.logical_reads;
-    total.physical_reads = delta.physical_reads;
-    total.cpu_seconds = watch.ElapsedSeconds();
-    *costs = total;
-  }
-  return results;
 }
 
 Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(

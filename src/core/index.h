@@ -171,8 +171,8 @@ std::vector<VideoMatch> RankSharedFrames(
     const std::vector<uint32_t>& frame_counts, uint32_t query_frames,
     size_t k);
 
-/// One query of a BatchKnn() fan-out: a query video's summary plus its
-/// frame count (for similarity normalization).
+/// One query of a ShardedViTriIndex::BatchKnn() fan-out: a query video's
+/// summary plus its frame count (for similarity normalization).
 struct BatchQuery {
   std::vector<ViTri> vitris;
   uint32_t num_frames = 0;
@@ -181,16 +181,16 @@ struct BatchQuery {
 /// The paper's index: ViTri positions mapped to one-dimensional keys by
 /// a reference-point transform and stored in a disk-paged B+-tree whose
 /// leaves carry the full triplets. Supports bulk build, dynamic insert,
-/// naive and composed KNN search (single query or a batch fanned across
-/// a thread pool), a sequential-scan baseline, and the PCA-drift rebuild
-/// policy.
+/// naive and composed KNN search, a sequential-scan baseline, and the
+/// PCA-drift rebuild policy. Batches of queries fan out one level up,
+/// in ShardedViTriIndex::BatchKnn, which runs this index's Knn per
+/// (query, shard) task.
 ///
 /// Thread-safety: the index carries a reader-writer latch, so online
-/// Insert() is safe while queries run. Queries (Knn, BatchKnn,
-/// SequentialScan, FrameSearch, Snapshot) take it shared — BatchKnn
-/// holds ONE shared acquisition for the whole batch and its workers
-/// take no locks of their own — while Insert, Rebuild, Checkpoint,
-/// DropCaches, and ValidateInvariants take it exclusive. Writers are
+/// Insert() is safe while queries run. Queries (Knn, SequentialScan,
+/// FrameSearch, Snapshot) take it shared, each call on its own, while
+/// Insert, Rebuild, Checkpoint, DropCaches, and ValidateInvariants take
+/// it exclusive. Writers are
 /// thereby serialized with each other and with queries at the index
 /// granularity; see DESIGN.md §13 for why finer-grained latching is
 /// deferred.
@@ -283,23 +283,6 @@ class ViTriIndex {
                                       QueryCosts* costs = nullptr,
                                       QueryTrace* trace = nullptr)
       VITRI_EXCLUDES(*latch_);
-
-  /// Fans the batch's queries across `num_threads` worker threads, each
-  /// running the same per-query KNN (with per-query query composition)
-  /// as Knn(). Results are indexed like `queries` and bit-identical to
-  /// calling Knn() sequentially on each query: every query accumulates
-  /// into its own buffers in the same order regardless of scheduling.
-  /// num_threads <= 1 runs inline (no pool); 0 is treated as 1.
-  /// `costs`, if given, aggregates the whole batch: page/physical counts
-  /// are the pool delta across the batch, cpu_seconds is the batch wall
-  /// time, the rest are summed per-query counters.
-  /// `traces`, if given, is resized to queries.size() and trace i is
-  /// filled by the worker running query i (each trace is written by
-  /// exactly one worker; span I/O deltas see the shared pool's traffic).
-  Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
-      const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-      size_t num_threads, QueryCosts* costs = nullptr,
-      std::vector<QueryTrace>* traces = nullptr) VITRI_EXCLUDES(*latch_);
 
   /// Baseline: evaluates the query against every stored ViTri by
   /// scanning the whole leaf level.
@@ -471,22 +454,11 @@ class ViTriIndex {
   /// them. Each scanned record is evaluated, as it is read, against the
   /// query ViTris whose ranges cover its key. With a trace, the loop runs
   /// under one "scan" span that covers decode and refinement too.
-  /// Read-only; safe to run concurrently from BatchKnn workers.
+  /// Read-only; safe to run from concurrent Knn callers.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<KeyRange>& ranges, KnnMethod method,
                      std::vector<double>* shared, QueryCosts* costs,
                      QueryTrace* trace) const VITRI_REQUIRES_SHARED(*latch_);
-
-  /// The whole per-query KNN pipeline minus the IoStats delta / wall
-  /// clock wrapper: ranges, tree scan (with the degraded in-memory
-  /// fallback), ranking. Fills the per-query counters of `local` except
-  /// page_accesses/physical_reads/cpu_seconds. Read-only.
-  Result<std::vector<VideoMatch>> KnnCompute(const std::vector<ViTri>& query,
-                                             uint32_t query_frames, size_t k,
-                                             KnnMethod method,
-                                             QueryCosts* local,
-                                             QueryTrace* trace) const
-      VITRI_REQUIRES_SHARED(*latch_);
 
   /// Degraded path: discards what a failed tree scan accumulated into
   /// `shared` and counted in `costs`, marks the query degraded, and

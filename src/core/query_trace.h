@@ -26,7 +26,7 @@ struct TraceSpan {
   uint32_t shard = 0;
   /// Pool counter delta across the span. For a single-threaded query
   /// this is exactly the span's own traffic; under BatchKnn the pool is
-  /// shared, so concurrent workers' fetches land in whichever spans are
+  /// shared, so concurrent tasks' fetches land in whichever spans are
   /// open (see DESIGN.md §12).
   storage::IoSnapshot io;
 };
@@ -34,13 +34,14 @@ struct TraceSpan {
 /// Lightweight per-query trace: an append-only list of timed spans for
 /// the KNN stages (transform → key-range composition → B+-tree range
 /// scan, which refines each candidate as it is read → ranking). Attach
-/// one by passing it to ViTriIndex::Knn()/BatchKnn(); a null trace
+/// one by passing it to ViTriIndex::Knn(), or a vector of them to
+/// ShardedViTriIndex::BatchKnn(); a null trace
 /// pointer costs nothing on the query path (a pointer test), and span
 /// capture itself only reads the pool's atomic counters — it never
 /// writes them, so QueryCosts and the paper's I/O figures are
 /// unaffected by tracing.
 ///
-/// A QueryTrace is single-owner state: one query (one BatchKnn worker)
+/// A QueryTrace is single-owner state: one query (one BatchKnn task)
 /// fills one trace. Reuse across queries is fine — Begin() resets it.
 class QueryTrace {
  public:

@@ -430,38 +430,23 @@ Result<std::vector<VideoMatch>> ShardedViTriIndex::Knn(
     const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
     KnnMethod method, QueryCosts* costs,
     std::vector<QueryCosts>* shard_costs) {
-  Stopwatch watch;
-  QueryCosts total;
-  std::vector<QueryCosts> per_shard(num_shards_);
-  std::vector<std::vector<VideoMatch>> lists;
-  lists.reserve(num_shards_);
-  {
-    ReaderLock lock(*latch_);
-    for (size_t s = 0; s < num_shards_; ++s) {
-      if (shards_[s] == nullptr) continue;
-      QueryCosts shard_cost;
-      VITRI_ASSIGN_OR_RETURN(
-          std::vector<VideoMatch> matches,
-          shards_[s]->Knn(query, query_frames, k, method, &shard_cost));
-      total += shard_cost;
-      per_shard[s] = shard_cost;
-      lists.push_back(std::move(matches));
-    }
-  }
-  std::vector<VideoMatch> merged = MergeTopK(lists, k);
-  total.cpu_seconds = watch.ElapsedSeconds();
-  if (costs != nullptr) *costs = total;
-  if (shard_costs != nullptr) *shard_costs = std::move(per_shard);
-  return merged;
+  VITRI_ASSIGN_OR_RETURN(
+      std::vector<std::vector<VideoMatch>> results,
+      BatchKnn({BatchQuery{query, query_frames}}, k, method,
+               /*executor=*/nullptr, costs, /*traces=*/nullptr,
+               /*deadline=*/{}, shard_costs));
+  return std::move(results.front());
 }
 
 Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
     const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-    size_t num_threads, QueryCosts* costs, std::vector<QueryTrace>* traces) {
+    ThreadPool* executor, QueryCosts* costs, std::vector<QueryTrace>* traces,
+    Deadline deadline, std::vector<QueryCosts>* shard_costs) {
   Stopwatch watch;
   const size_t n = queries.size();
   std::vector<std::vector<VideoMatch>> out(n);
   QueryCosts total;
+  std::vector<QueryCosts> per_shard(num_shards_);
   if (traces != nullptr) {
     traces->assign(n, QueryTrace());
     for (QueryTrace& trace : *traces) trace.Begin();
@@ -477,29 +462,30 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
       live_ids.push_back(static_cast<uint32_t>(s));
     }
     if (n > 0 && !live.empty()) {
-      // Concurrent tasks on one shard see each other's pool traffic, so
-      // per-task page counts overlap; like ViTriIndex::BatchKnn, page
-      // and physical counts are whole-batch pool deltas (summed over
-      // shards) and only the CPU-side counters are summed per task.
       std::vector<storage::IoSnapshot> before;
       before.reserve(live.size());
       for (const ViTriIndex* shard : live) {
         before.push_back(shard->io_stats().Snapshot());
       }
 
-      // Scatter: one task per (query, live shard) pair. Each worker
-      // writes only its own slots; the shard's Knn takes the shard
-      // latch shared, so tasks never contend on a writer.
+      // Scatter: one task per (query, live shard) pair. Each task writes
+      // only its own slots; the shard's Knn takes the shard latch
+      // shared, so tasks never contend on a writer. The tasks run under
+      // this frame's shared wrapper hold, which outlives the scatter.
       const size_t tasks = n * live.size();
-      std::vector<std::vector<std::vector<VideoMatch>>> scattered(n);
-      for (std::vector<std::vector<VideoMatch>>& lists : scattered) {
-        lists.resize(live.size());
-      }
+      std::vector<std::vector<std::vector<VideoMatch>>> scattered(
+          n, std::vector<std::vector<VideoMatch>>(live.size()));
       std::vector<QueryCosts> task_costs(tasks);
       std::vector<QueryTrace> task_traces(traces != nullptr ? tasks : 0);
       std::vector<Status> statuses(tasks);
       const auto run_one = [&](size_t t) {
         latch_->AssertHeldShared();
+        if (deadline.has_value() &&
+            std::chrono::steady_clock::now() > *deadline) {
+          statuses[t] =
+              Status::DeadlineExceeded("deadline expired during execution");
+          return;
+        }
         const size_t q = t / live.size();
         const size_t j = t % live.size();
         auto matches = live[j]->Knn(
@@ -511,26 +497,24 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
         }
         scattered[q][j] = std::move(*matches);
       };
-      const size_t workers = std::min(num_threads, tasks);
-      if (workers <= 1 || tasks <= 1) {
+      if (executor == nullptr || tasks == 1) {
         for (size_t t = 0; t < tasks; ++t) run_one(t);
       } else {
-        ThreadPool pool(workers);
-        pool.ParallelFor(tasks, run_one);
+        executor->ParallelFor(tasks, run_one);
       }
       for (const Status& status : statuses) VITRI_RETURN_IF_ERROR(status);
 
-      for (const QueryCosts& c : task_costs) total += c;
-      uint64_t pages = 0;
-      uint64_t physical = 0;
+      for (size_t t = 0; t < tasks; ++t) {
+        per_shard[live_ids[t % live.size()]] += task_costs[t];
+      }
       for (size_t j = 0; j < live.size(); ++j) {
         const storage::IoSnapshot delta =
             live[j]->io_stats().Snapshot() - before[j];
-        pages += delta.logical_reads;
-        physical += delta.physical_reads;
+        QueryCosts& shard = per_shard[live_ids[j]];
+        shard.page_accesses = delta.logical_reads;
+        shard.physical_reads = delta.physical_reads;
+        total += shard;
       }
-      total.page_accesses = pages;
-      total.physical_reads = physical;
 
       // Gather: merging is commutative over shards given the total
       // (similarity, id) order, so results are identical to sequential
@@ -548,6 +532,7 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
   }
   total.cpu_seconds = watch.ElapsedSeconds();
   if (costs != nullptr) *costs = total;
+  if (shard_costs != nullptr) *shard_costs = std::move(per_shard);
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef VITRI_CORE_SHARDED_INDEX_H_
 #define VITRI_CORE_SHARDED_INDEX_H_
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -13,6 +14,10 @@
 #include "common/result.h"
 #include "core/index.h"
 #include "core/vitri.h"
+
+namespace vitri {
+class ThreadPool;
+}  // namespace vitri
 
 namespace vitri::json {
 class JsonWriter;
@@ -156,34 +161,47 @@ class ShardedViTriIndex {
   Status Insert(uint32_t video_id, uint32_t num_frames,
                 const std::vector<ViTri>& vitris) VITRI_EXCLUDES(*latch_);
 
-  /// Top-k via scatter-gather: queries every non-empty shard with the
-  /// full k (sequentially, in shard order) and merges the per-shard
-  /// lists with a bounded top-k heap ordered by (similarity desc,
-  /// video id asc) — the repo-wide tie-break. `costs`, if given,
-  /// aggregates all shards (cpu_seconds is this call's wall time);
-  /// `shard_costs`, if given, is resized to num_shards() and entry i
-  /// holds shard i's own costs (zeros for empty shards) — the bench
-  /// reads per-shard pruning ratios from it.
+  /// Top-k of one query: a BatchKnn of one, run inline on the calling
+  /// thread. `costs`, if given, aggregates all shards (cpu_seconds is
+  /// this call's wall time); `shard_costs`, if given, is resized to
+  /// num_shards() and entry i holds shard i's own costs (zeros for empty
+  /// shards, cpu_seconds the shard's own Knn time) — the bench reads
+  /// per-shard pruning ratios from it.
   Result<std::vector<VideoMatch>> Knn(
       const std::vector<ViTri>& query, uint32_t query_frames, size_t k,
       KnnMethod method, QueryCosts* costs = nullptr,
       std::vector<QueryCosts>* shard_costs = nullptr) VITRI_EXCLUDES(*latch_);
 
-  /// Scatter-gather batch KNN: fans (query × shard) tasks across
-  /// `num_threads` workers, then merges each query's per-shard lists
-  /// deterministically after the scatter completes. Results are indexed
-  /// like `queries` and identical to calling Knn() per query (merging
-  /// is order-independent given the total (similarity, id) order).
-  /// num_threads <= 1 runs inline. `costs` aggregates the batch:
-  /// page/physical counts are the per-shard pool deltas across the
-  /// batch, cpu_seconds the batch wall time, the rest summed per-task
-  /// counters. `traces`, if given, is resized to queries.size(); each
-  /// (query, shard) task traces its shard's Knn, and trace q holds every
-  /// live shard's spans in shard order, each tagged with its shard.
+  /// An absolute steady-clock deadline; std::nullopt means none.
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+  /// The one query scatter: runs one task per (query, live shard) — the
+  /// shard's own Knn with the full k — then merges each query's
+  /// per-shard lists with a bounded top-k heap ordered by (similarity
+  /// desc, video id asc), the repo-wide tie-break. Results are indexed
+  /// like `queries` and identical to calling Knn() per query, whatever
+  /// the executor (merging is order-independent given that total order).
+  ///
+  /// `executor` runs the tasks; null runs them inline on the calling
+  /// thread. BatchKnn never builds a pool: the caller owns one, sized
+  /// once, and may share it between concurrent calls. It must not be
+  /// the pool the caller itself runs on (ThreadPool::ParallelFor).
+  /// With a `deadline`, each task checks it before it starts, and a
+  /// task that finds it passed makes the call return DeadlineExceeded.
+  /// `costs` aggregates the batch: page/physical counts are the
+  /// per-shard pool deltas across the batch (concurrent tasks on one
+  /// shard see each other's traffic, so per-task deltas would overlap),
+  /// cpu_seconds the batch wall time, the rest summed per-task counters.
+  /// `shard_costs`, if given, is resized to num_shards(); entry i sums
+  /// shard i's tasks the same way (cpu_seconds: their summed Knn time).
+  /// `traces`, if given, is resized to queries.size(); each task traces
+  /// its shard's Knn, and trace q holds every live shard's spans in
+  /// shard order, each tagged with its shard.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
       const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
-      size_t num_threads, QueryCosts* costs = nullptr,
-      std::vector<QueryTrace>* traces = nullptr) VITRI_EXCLUDES(*latch_);
+      ThreadPool* executor, QueryCosts* costs = nullptr,
+      std::vector<QueryTrace>* traces = nullptr, Deadline deadline = {},
+      std::vector<QueryCosts>* shard_costs = nullptr) VITRI_EXCLUDES(*latch_);
 
   /// Deep self-check, PR 2 validator pattern: every shard passes its own
   /// ValidateInvariants(), every video stored in shard s (frame count or

@@ -15,6 +15,7 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/os.h"
+#include "common/thread_pool.h"
 #include "core/sharded_index.h"
 
 namespace vitri::serving {
@@ -77,6 +78,9 @@ Status Server::Start() {
   if (::pipe(wake_pipe_) != 0) {
     CloseFd(&listen_fd_);
     return Status::IoError("pipe: " + ErrnoString(errno));
+  }
+  if (options_.knn_threads > 1) {
+    knn_pool_ = std::make_unique<ThreadPool>(options_.knn_threads);
   }
   const size_t num_workers =
       options_.num_workers == 0 ? 1 : options_.num_workers;
@@ -365,63 +369,40 @@ void Server::HandleKnn(WorkItem item) {
               options_.trace_every ==
           0;
   std::vector<core::QueryTrace> traces;
-  Status failure = Status::OK();
-  bool expired = false;
-  if (item.deadline_us == 0) {
-    Result<std::vector<std::vector<core::VideoMatch>>> r =
-        sharded_->BatchKnn(item.knn.queries, item.knn.k, item.knn.method,
-                           options_.knn_threads, nullptr,
-                           traced ? &traces : nullptr);
-    if (r.ok()) {
-      resp.results = std::move(*r);
-    } else {
-      failure = r.status();
-    }
-  } else {
-    // Deadline-aware path: one query per stage, with the deadline
-    // re-checked between stages so an expired request stops consuming
-    // index time mid-batch.
-    resp.results.reserve(item.knn.queries.size());
-    for (const core::BatchQuery& q : item.knn.queries) {
-      if (NowMicros() > item.deadline_us) {
-        expired = true;
-        break;
-      }
-      Result<std::vector<core::VideoMatch>> r =
-          sharded_->Knn(q.vitris, q.num_frames, item.knn.k, item.knn.method);
-      if (!r.ok()) {
-        failure = r.status();
-        break;
-      }
-      resp.results.push_back(std::move(*r));
-    }
+  core::ShardedViTriIndex::Deadline deadline;
+  if (item.deadline_us != 0) {
+    // NowMicros() counts steady-clock microseconds since its epoch.
+    deadline = std::chrono::steady_clock::time_point(
+        std::chrono::microseconds(item.deadline_us));
   }
-  if (traced && failure.ok() && !expired) {
-    MutexLock lock(trace_mu_);
-    for (const core::QueryTrace& t : traces) {
-      recent_traces_.push_back(t.ToJson());
+  Result<std::vector<std::vector<core::VideoMatch>>> r = sharded_->BatchKnn(
+      item.knn.queries, item.knn.k, item.knn.method, knn_pool_.get(),
+      nullptr, traced ? &traces : nullptr, deadline);
+  if (r.ok()) {
+    resp.head.status = WireStatus::kOk;
+    resp.results = std::move(*r);
+    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+    if (traced) {
+      MutexLock lock(trace_mu_);
+      for (const core::QueryTrace& t : traces) {
+        recent_traces_.push_back(t.ToJson());
+      }
+      while (recent_traces_.size() > options_.max_traces) {
+        recent_traces_.pop_front();
+      }
     }
-    while (recent_traces_.size() > options_.max_traces) {
-      recent_traces_.pop_front();
-    }
-  }
-  std::vector<uint8_t> payload;
-  if (expired) {
+  } else if (r.status().IsDeadlineExceeded()) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     VITRI_METRIC_COUNTER("serving.deadline_exceeded")->Increment();
     resp.head.status = WireStatus::kDeadlineExceeded;
-    resp.error = "deadline expired during execution";
-    resp.results.clear();
-  } else if (!failure.ok()) {
-    resp.head.status = failure.IsInvalidArgument()
+    resp.error = r.status().message();
+  } else {
+    resp.head.status = r.status().IsInvalidArgument()
                            ? WireStatus::kInvalidRequest
                            : WireStatus::kInternalError;
-    resp.error = failure.ToString();
-    resp.results.clear();
-  } else {
-    resp.head.status = WireStatus::kOk;
-    responses_ok_.fetch_add(1, std::memory_order_relaxed);
+    resp.error = r.status().ToString();
   }
+  std::vector<uint8_t> payload;
   EncodeKnnResponse(resp, &payload);
   WriteResponse(item.session, MessageType::kKnnResponse, payload);
 }
@@ -569,6 +550,8 @@ Status Server::Shutdown() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
+  //    With no worker left to submit to it, the knn executor is idle.
+  knn_pool_.reset();
   // 4. Close sessions. SHUT_RD (not RDWR) so a reader blocked in read()
   //    sees EOF while its final inline response can still flush; fds are
   //    closed only after the readers are joined, so no worker or reader

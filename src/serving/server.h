@@ -17,6 +17,10 @@
 #include "serving/bounded_queue.h"
 #include "serving/protocol.h"
 
+namespace vitri {
+class ThreadPool;
+}  // namespace vitri
+
 namespace vitri::core {
 class ShardedViTriIndex;
 }  // namespace vitri::core
@@ -36,9 +40,11 @@ struct ServerOptions {
   size_t queue_capacity = 256;
   /// Worker threads executing queued Knn/Insert requests.
   size_t num_workers = 4;
-  /// Intra-request parallelism: BatchKnn fan-out width per request
-  /// (1 = inline; the request-level workers above are the primary
-  /// concurrency axis).
+  /// Intra-request parallelism: the size of the one executor every
+  /// request's (query, shard) tasks share, built by Start() and joined
+  /// by Shutdown(). 0 or 1 builds none and runs each request's tasks
+  /// inline on its worker; the request-level workers above are then the
+  /// only concurrency axis.
   size_t knn_threads = 1;
   /// Record a per-stage QueryTrace for every Nth Knn request (0 = off)
   /// and keep the most recent `max_traces` of them for the stats reply.
@@ -61,9 +67,12 @@ struct ServerOptions {
 /// connection gets a session reader thread that decodes frames and
 /// answers the admin plane (ping/stats/shutdown) inline; work requests
 /// (knn/insert) pass through a bounded queue to `num_workers` worker
-/// threads. Admission control, per-request deadlines, and the drain on
-/// shutdown all emit *typed* wire statuses, so a client can always tell
-/// "rejected" from "failed".
+/// threads. A worker answers a knn request with one
+/// ShardedViTriIndex::BatchKnn call, whose (query, shard) tasks run on
+/// the server's one `knn_threads` executor (shared by every worker) or,
+/// without one, inline on the worker. Admission control, per-request
+/// deadlines, and the drain on shutdown all emit *typed* wire statuses,
+/// so a client can always tell "rejected" from "failed".
 ///
 /// Request lifecycle guarantees:
 ///   * every frame read off a connection gets exactly one response
@@ -71,13 +80,14 @@ struct ServerOptions {
 ///     which drains the queue before stopping — and rejected work is
 ///     answered immediately with Overloaded/ShuttingDown/Invalid);
 ///   * a request whose deadline has passed is answered
-///     DeadlineExceeded without touching the index; deadlines are
-///     re-checked between the per-query stages of a multi-query
-///     request;
+///     DeadlineExceeded without touching the index; a knn request's
+///     deadline is re-checked before each of its (query, shard) tasks
+///     starts;
 ///   * Shutdown() stops admission first, then drains workers, then
-///     closes sessions, then (durable index + checkpoint_on_shutdown)
-///     checkpoints via the recovery path, so acknowledged inserts are
-///     never lost behind a group-commit window.
+///     joins the knn executor, then closes sessions, then (durable
+///     index + checkpoint_on_shutdown) checkpoints via the recovery
+///     path, so acknowledged inserts are never lost behind a
+///     group-commit window.
 ///
 /// Shutdown() must not be called from a session/worker thread (it joins
 /// them); in-band shutdown requests instead signal
@@ -183,6 +193,8 @@ class Server {
   int wake_pipe_[2] = {-1, -1};
   std::thread listener_;
   std::vector<std::thread> workers_;
+  /// The knn executor (null when knn_threads <= 1); see knn_threads.
+  std::unique_ptr<ThreadPool> knn_pool_;
 
   BoundedQueue<WorkItem> queue_;
 

@@ -23,6 +23,9 @@ TEST(StatusTest, FactoryCodesRoundTrip) {
   EXPECT_TRUE(Status::NotSupported("x").IsNotSupported());
   EXPECT_TRUE(Status::Internal("x").IsInternal());
   EXPECT_TRUE(Status::ResourceExhausted("x").IsResourceExhausted());
+  EXPECT_TRUE(Status::DeadlineExceeded("x").IsDeadlineExceeded());
+  EXPECT_EQ(Status::DeadlineExceeded("late").ToString(),
+            "DeadlineExceeded: late");
 }
 
 TEST(StatusTest, ToStringIncludesCodeAndMessage) {

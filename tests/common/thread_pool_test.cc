@@ -92,5 +92,32 @@ TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1u);
 }
 
+TEST(ThreadPoolTest, ParallelForFromAnotherPoolsWorkerRuns) {
+  // Only a pool's own workers are refused: a task of one pool may fan
+  // out over a second pool and wait on it.
+  ThreadPool outer(2);
+  ThreadPool inner(2);
+  std::atomic<size_t> total{0};
+  outer.ParallelFor(2, [&](size_t) {
+    inner.ParallelFor(10, [&total](size_t) { ++total; });
+  });
+  EXPECT_EQ(total.load(), 20u);
+}
+
+TEST(ThreadPoolTest, ParallelForFromItsOwnWorkerDies) {
+  // The caller of ParallelFor only waits, so a worker calling it on its
+  // own pool could wait on tasks no free worker will run. That call
+  // fails fast instead of hanging.
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        ThreadPool pool(1);
+        pool.ParallelFor(1, [&pool](size_t) {
+          pool.ParallelFor(1, [](size_t) {});
+        });
+      },
+      "ParallelFor called from one of the same pool's workers");
+}
+
 }  // namespace
 }  // namespace vitri

@@ -1,13 +1,19 @@
-// BatchKnn must be a pure parallelization: for any thread count, the
-// results are byte-identical (video ids and bitwise-equal similarity
-// doubles, in the same order) to running Knn() sequentially per query.
+// BatchKnn must be a pure parallelization: for any executor (inline, or
+// a pool of any size), the results are byte-identical (video ids and
+// bitwise-equal similarity doubles, in the same order) to running Knn()
+// sequentially per query. The index takes its shard count from
+// VITRI_INDEX_SHARDS (num_shards = 0), so the index-shards CI leg runs
+// these checks 4-sharded.
 
 #include <cstring>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/index.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -43,6 +49,13 @@ BatchWorld MakeBatchWorld(int num_queries, uint64_t seed = 2005) {
   return w;
 }
 
+Result<ShardedViTriIndex> BuildIndex(const BatchWorld& w) {
+  ShardedIndexOptions options;
+  options.num_shards = 0;  // VITRI_INDEX_SHARDS, else 1.
+  options.shard_options.dimension = w.db.dimension;
+  return ShardedViTriIndex::Build(w.set, options);
+}
+
 // Bitwise double equality — EXPECT_DOUBLE_EQ tolerates 4 ULPs, which
 // would mask an accumulation-order change.
 bool BitIdentical(double a, double b) {
@@ -67,9 +80,7 @@ void ExpectIdenticalBatches(
 
 TEST(BatchKnnDeterminismTest, MatchesSequentialKnnForEveryThreadCount) {
   BatchWorld w = MakeBatchWorld(12);
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto index = ViTriIndex::Build(w.set, io);
+  auto index = BuildIndex(w);
   ASSERT_TRUE(index.ok());
 
   for (const KnnMethod method :
@@ -82,7 +93,10 @@ TEST(BatchKnnDeterminismTest, MatchesSequentialKnnForEveryThreadCount) {
     }
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
                                  size_t{8}}) {
-      auto batch = index->BatchKnn(w.queries, 10, method, threads);
+      std::optional<ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads);
+      auto batch =
+          index->BatchKnn(w.queries, 10, method, pool ? &*pool : nullptr);
       ASSERT_TRUE(batch.ok()) << "threads=" << threads;
       ExpectIdenticalBatches(sequential, *batch);
     }
@@ -91,15 +105,14 @@ TEST(BatchKnnDeterminismTest, MatchesSequentialKnnForEveryThreadCount) {
 
 TEST(BatchKnnDeterminismTest, RepeatedParallelRunsAreIdentical) {
   BatchWorld w = MakeBatchWorld(8);
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto index = ViTriIndex::Build(w.set, io);
+  auto index = BuildIndex(w);
   ASSERT_TRUE(index.ok());
+  ThreadPool pool(8);
 
-  auto first = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 8);
+  auto first = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
   ASSERT_TRUE(first.ok());
   for (int run = 0; run < 3; ++run) {
-    auto again = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 8);
+    auto again = index->BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
     ASSERT_TRUE(again.ok());
     ExpectIdenticalBatches(*first, *again);
   }
@@ -107,14 +120,13 @@ TEST(BatchKnnDeterminismTest, RepeatedParallelRunsAreIdentical) {
 
 TEST(BatchKnnDeterminismTest, AggregatedCostsCoverTheBatch) {
   BatchWorld w = MakeBatchWorld(6);
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto index = ViTriIndex::Build(w.set, io);
+  auto index = BuildIndex(w);
   ASSERT_TRUE(index.ok());
+  ThreadPool pool(4);
 
   QueryCosts costs;
   auto batch =
-      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 4, &costs);
+      index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool, &costs);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(costs.range_searches >= w.queries.size(), true);
   EXPECT_GT(costs.candidates, 0u);
@@ -125,19 +137,18 @@ TEST(BatchKnnDeterminismTest, AggregatedCostsCoverTheBatch) {
 
 TEST(BatchKnnDeterminismTest, EmptyBatchAndEmptyQuery) {
   BatchWorld w = MakeBatchWorld(1);
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto index = ViTriIndex::Build(w.set, io);
+  auto index = BuildIndex(w);
   ASSERT_TRUE(index.ok());
+  ThreadPool pool(4);
 
-  auto empty = index->BatchKnn({}, 10, KnnMethod::kComposed, 4);
+  auto empty = index->BatchKnn({}, 10, KnnMethod::kComposed, &pool);
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
 
   // A batch containing an empty summary fails like Knn() does.
   std::vector<BatchQuery> bad(2);
   bad[0] = w.queries[0];
-  auto result = index->BatchKnn(bad, 10, KnnMethod::kComposed, 4);
+  auto result = index->BatchKnn(bad, 10, KnnMethod::kComposed, &pool);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/index.h"
+#include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -109,18 +111,23 @@ TEST(IndexConcurrencyTest, ParallelKnnReadersSeeConsistentResults) {
   EXPECT_TRUE(index.quarantined_pages().empty());
 }
 
-// BatchKnn itself called concurrently from several threads: each call
-// spins up its own pool over the same read-only index.
+// BatchKnn called concurrently from several threads whose tasks share
+// one executor, over the same read-only index (shard count from
+// VITRI_INDEX_SHARDS).
 TEST(IndexConcurrencyTest, ConcurrentBatchKnnCallsAgree) {
   SharedWorld w = MakeSharedWorld(6);
-  ViTriIndexOptions io;
-  io.dimension = w.db.dimension;
-  auto built = ViTriIndex::Build(w.set, io);
+  ShardedIndexOptions options;
+  options.num_shards = 0;
+  options.shard_options.dimension = w.db.dimension;
+  auto built = ShardedViTriIndex::Build(w.set, options);
   ASSERT_TRUE(built.ok());
-  ViTriIndex& index = *built;
+  ShardedViTriIndex& index = *built;
 
-  auto baseline = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, 1);
+  auto baseline = index.BatchKnn(w.queries, 5, KnnMethod::kComposed,
+                                 /*executor=*/nullptr);
   ASSERT_TRUE(baseline.ok());
+
+  ThreadPool pool(4);
 
   constexpr int kCallers = 4;
   std::atomic<int> mismatches{0};
@@ -129,7 +136,7 @@ TEST(IndexConcurrencyTest, ConcurrentBatchKnnCallsAgree) {
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&] {
-      auto batch = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, 4);
+      auto batch = index.BatchKnn(w.queries, 5, KnnMethod::kComposed, &pool);
       if (!batch.ok()) {
         failures.fetch_add(1, std::memory_order_relaxed);
         return;

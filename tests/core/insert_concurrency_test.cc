@@ -152,7 +152,7 @@ const World& SharedWorld() {
 }
 
 /// Inserts videos [initial, num_videos) on a writer thread while
-/// reader threads hammer Knn/BatchKnn, then checks final contents.
+/// reader threads hammer Knn, then checks final contents.
 void RunMixedWorkload(ViTriIndex* index) {
   const World& w = SharedWorld();
   std::atomic<bool> writer_done{false};
@@ -177,12 +177,13 @@ void RunMixedWorkload(ViTriIndex* index) {
       while (!writer_done.load(std::memory_order_acquire) &&
              !failed.load()) {
         if (r == 0) {
-          // Batched fan-out: a shared-latched pool of workers.
-          auto results =
-              index->BatchKnn(w.queries, 5, KnnMethod::kComposed, 3);
-          if (!results.ok() || results->size() != w.queries.size()) {
-            failed.store(true);
-            return;
+          // A sweep over every query, back to back.
+          for (const BatchQuery& q : w.queries) {
+            if (!index->Knn(q.vitris, q.num_frames, 5, KnnMethod::kComposed)
+                     .ok()) {
+              failed.store(true);
+              return;
+            }
           }
         } else {
           const BatchQuery& q = w.queries[r % w.queries.size()];

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,6 +28,7 @@
 
 #include "common/json.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/out_of_core.h"
 #include "core/sharded_index.h"
@@ -181,7 +183,10 @@ TEST(ShardedIndexTest, BatchKnnMatchesPerQueryKnnBitwise) {
     }
     for (const size_t threads : {size_t{1}, size_t{2}, size_t{4},
                                  size_t{8}}) {
-      auto batch = index->BatchKnn(w.queries, 10, method, threads);
+      std::optional<ThreadPool> pool;
+      if (threads > 1) pool.emplace(threads);
+      auto batch =
+          index->BatchKnn(w.queries, 10, method, pool ? &*pool : nullptr);
       ASSERT_TRUE(batch.ok()) << "threads=" << threads;
       ASSERT_EQ(batch->size(), sequential.size());
       for (size_t q = 0; q < sequential.size(); ++q) {
@@ -432,9 +437,10 @@ TEST(ShardedIndexTest, BatchKnnTracesEveryShardInShardOrder) {
         w.set, Sharded(w, shards, ShardAssignment::kRoundRobin));
     ASSERT_TRUE(index.ok());
     ASSERT_EQ(index->live_shards(), shards);
-    auto plain = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2);
+    ThreadPool pool(2);
+    auto plain = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool);
     std::vector<QueryTrace> traces;
-    auto traced = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2,
+    auto traced = index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool,
                                   nullptr, &traces);
     ASSERT_TRUE(plain.ok());
     ASSERT_TRUE(traced.ok());
@@ -455,6 +461,73 @@ TEST(ShardedIndexTest, BatchKnnTracesEveryShardInShardOrder) {
         expected[s] = static_cast<uint32_t>(s);
       }
       EXPECT_EQ(seen, expected) << "query " << q;
+    }
+  }
+}
+
+TEST(ShardedIndexTest, KnnReportsEachShardsOwnCosts) {
+  World w = MakeWorld(2);
+  auto index = ShardedViTriIndex::Build(
+      w.set, Sharded(w, 3, ShardAssignment::kRoundRobin));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 3u);
+  for (const BatchQuery& q : w.queries) {
+    QueryCosts costs;
+    std::vector<QueryCosts> shard_costs;
+    ASSERT_TRUE(index
+                    ->Knn(q.vitris, q.num_frames, 10, KnnMethod::kComposed,
+                          &costs, &shard_costs)
+                    .ok());
+    ASSERT_EQ(shard_costs.size(), 3u);
+    QueryCosts summed;
+    for (size_t s = 0; s < shard_costs.size(); ++s) {
+      // Each entry is that shard's own Knn: its own time and pages.
+      EXPECT_GT(shard_costs[s].cpu_seconds, 0.0) << "shard " << s;
+      EXPECT_GT(shard_costs[s].page_accesses, 0u) << "shard " << s;
+      summed += shard_costs[s];
+    }
+    EXPECT_EQ(summed.page_accesses, costs.page_accesses);
+    EXPECT_EQ(summed.physical_reads, costs.physical_reads);
+    EXPECT_EQ(summed.candidates, costs.candidates);
+    EXPECT_EQ(summed.similarity_evals, costs.similarity_evals);
+    EXPECT_EQ(summed.range_searches, costs.range_searches);
+    // The call's wall time covers every shard's (inline) Knn.
+    EXPECT_GE(costs.cpu_seconds, summed.cpu_seconds);
+  }
+}
+
+TEST(ShardedIndexTest, BatchKnnChecksTheDeadlineBeforeEveryTask) {
+  World w = MakeWorld(4);
+  auto index = ShardedViTriIndex::Build(w.set, Sharded(w, 2));
+  ASSERT_TRUE(index.ok());
+  auto expected = index->BatchKnn(w.queries, 10, KnnMethod::kComposed,
+                                  /*executor=*/nullptr);
+  ASSERT_TRUE(expected.ok());
+
+  ThreadPool pool(2);
+  const auto now = std::chrono::steady_clock::now();
+  for (ThreadPool* executor : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    // A lapsed deadline stops every task before it starts: a typed
+    // status, no answer.
+    std::vector<QueryTrace> traces;
+    auto lapsed =
+        index->BatchKnn(w.queries, 10, KnnMethod::kComposed, executor,
+                        nullptr, &traces, now - std::chrono::seconds(1));
+    ASSERT_FALSE(lapsed.ok());
+    EXPECT_TRUE(lapsed.status().IsDeadlineExceeded())
+        << lapsed.status().ToString();
+    EXPECT_NE(lapsed.status().message().find("deadline"), std::string::npos);
+
+    // A distant deadline changes nothing, traces included.
+    auto met = index->BatchKnn(w.queries, 10, KnnMethod::kComposed,
+                               executor, nullptr, &traces,
+                               now + std::chrono::hours(1));
+    ASSERT_TRUE(met.ok()) << met.status().ToString();
+    ASSERT_EQ(met->size(), expected->size());
+    ASSERT_EQ(traces.size(), w.queries.size());
+    for (size_t q = 0; q < expected->size(); ++q) {
+      ExpectSameResults((*expected)[q], (*met)[q], "deadline");
+      EXPECT_FALSE(traces[q].spans().empty()) << "query " << q;
     }
   }
 }
@@ -868,9 +941,11 @@ void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir,
 
   std::atomic<bool> stop{false};
   std::atomic<int> query_failures{0};
+  // Both readers' tasks run on one shared executor.
+  ThreadPool pool(2);
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&index, &w, &stop, &query_failures] {
+    readers.emplace_back([&index, &w, &stop, &query_failures, &pool] {
       // The pause between batches matters: BatchKnn holds the wrapper
       // latch shared for the whole batch, and the platform rwlock may
       // prefer readers — back-to-back batches from several readers
@@ -882,7 +957,7 @@ void RunConcurrentBatchKnnAndInsert(const std::string& durable_dir,
       while (!stop.load(std::memory_order_relaxed) &&
              std::chrono::steady_clock::now() < deadline) {
         auto batch =
-            index->BatchKnn(w.queries, 10, KnnMethod::kComposed, 2);
+            index->BatchKnn(w.queries, 10, KnnMethod::kComposed, &pool);
         if (!batch.ok() || batch->size() != w.queries.size()) {
           query_failures.fetch_add(1);
           return;
@@ -974,6 +1049,58 @@ TEST(ShardedConcurrencyTest, ConcurrentBatchKnnAndInsertIsSafe) {
 
 TEST(ShardedConcurrencyTest, StatsPollsRaceBatchKnnAndShardCreation) {
   RunConcurrentBatchKnnAndInsert("", /*poll_stats=*/true);
+}
+
+TEST(ShardedConcurrencyTest, ConcurrentBatchKnnCallsShareOneExecutor) {
+  // Several callers fan their (query, shard) tasks out over one shared
+  // pool at once — the serving shape with knn_threads > 1. Every call
+  // must answer bitwise like the inline scatter, and the pool must
+  // keep serving after the storm.
+  World w = MakeWorld(6);
+  auto index = ShardedViTriIndex::Build(w.set, Sharded(w, 3));
+  ASSERT_TRUE(index.ok());
+  auto baseline = index->BatchKnn(w.queries, 10, KnnMethod::kComposed,
+                                  /*executor=*/nullptr);
+  ASSERT_TRUE(baseline.ok());
+
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 10;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        auto batch = index->BatchKnn(w.queries, 10, KnnMethod::kComposed,
+                                     &pool);
+        if (!batch.ok() || batch->size() != baseline->size()) {
+          failures.fetch_add(1);
+          return;
+        }
+        for (size_t q = 0; q < baseline->size(); ++q) {
+          const std::vector<VideoMatch>& want = (*baseline)[q];
+          const std::vector<VideoMatch>& got = (*batch)[q];
+          if (want.size() != got.size()) {
+            mismatches.fetch_add(1);
+            continue;
+          }
+          for (size_t i = 0; i < want.size(); ++i) {
+            if (want[i].video_id != got[i].video_id ||
+                std::memcmp(&want[i].similarity, &got[i].similarity,
+                            sizeof(double)) != 0) {
+              mismatches.fetch_add(1);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_TRUE(index->ValidateInvariants().ok());
 }
 
 TEST(ShardedConcurrencyTest, DurableShardCreationRacesCheckpoints) {

@@ -6,13 +6,16 @@
 //     requests admitted before the queue filled are still answered kOk;
 //   * deadlines — a request whose deadline lapses while queued is answered
 //     kDeadlineExceeded at dequeue without touching the index, and the
-//     deadline is re-checked between the per-query stages of execution;
+//     deadline is re-checked before each (query, shard) task starts;
 //   * graceful shutdown — Shutdown() stops admission (kShuttingDown) but
 //     drains every queued and in-flight request, so no admitted request
 //     ever loses its ack, and checkpoints a durable index so inserts
 //     acked inside a group-commit window survive;
 //   * sampled tracing — trace_every records per-shard spans into the
-//     stats document.
+//     stats document, for requests with a deadline too;
+//   * the shared knn executor — with knn_threads > 1 every worker's
+//     (query, shard) tasks run on one pool, and the answers are those of
+//     inline execution.
 //
 // Determinism comes from ServerOptions::stage_hook: a Gate parks worker
 // threads at a named point ("worker.dequeue" / "worker.execute") so tests
@@ -502,6 +505,125 @@ TEST(ServingLifecycleTest, TraceEveryRecordsSpansOfEveryShard) {
   }
   EXPECT_EQ(shards, (std::set<double>{0.0, 1.0}));
   EXPECT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServingLifecycleTest, DeadlinedRequestIsTraced) {
+  // A request with a deadline runs the same single BatchKnn as one
+  // without, so the trace slot it takes is filled like any other.
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(2));
+  ASSERT_TRUE(index.ok());
+  ASSERT_EQ(index->live_shards(), 2u);
+  const auto query = QuerySummary(w.db.videos[0]);
+  const auto frames = static_cast<uint32_t>(w.db.videos[0].num_frames());
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  opts.trace_every = 1;
+  Server server(&*index, opts);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::ConnectUnix(dir.socket_path());
+  ASSERT_TRUE(client.ok());
+  auto resp = client->Knn(MakeKnn(query, frames, 1, /*deadline_ms=*/60000,
+                                  /*num_queries=*/2));
+  ASSERT_TRUE(resp.ok());
+  ASSERT_EQ(resp->head.status, WireStatus::kOk) << resp->error;
+  ASSERT_EQ(resp->results.size(), 2u);
+
+  auto stats = json::ParseJson(server.BuildStatsJson());
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const json::JsonValue* traces = stats->Find("recent_traces");
+  ASSERT_NE(traces, nullptr);
+  ASSERT_EQ(traces->array.size(), 2u);  // One per query of the request.
+  for (const json::JsonValue& trace : traces->array) {
+    const json::JsonValue* spans = trace.Find("spans");
+    ASSERT_NE(spans, nullptr);
+    std::set<double> shards;
+    for (const json::JsonValue& span : spans->array) {
+      const json::JsonValue* shard = span.Find("shard");
+      ASSERT_NE(shard, nullptr);
+      shards.insert(shard->number);
+    }
+    EXPECT_EQ(shards, (std::set<double>{0.0, 1.0}));
+  }
+  EXPECT_TRUE(server.Shutdown().ok());
+}
+
+/// Answers of `requests`, each sent from its own client thread at once.
+std::vector<KnnResponse> SendConcurrently(const std::string& socket,
+                                          const std::vector<KnnRequest>&
+                                              requests) {
+  std::vector<AsyncKnn> calls(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    calls[i].Start(socket, requests[i]);
+  }
+  std::vector<KnnResponse> responses;
+  for (AsyncKnn& call : calls) {
+    call.Join();
+    EXPECT_TRUE(call.transport.ok()) << call.transport.ToString();
+    responses.push_back(std::move(call.response));
+  }
+  return responses;
+}
+
+TEST(ServingLifecycleTest, SharedKnnExecutorAnswersLikeInlineWorkers) {
+  // knn_threads = 4: every worker's (query, shard) tasks share the
+  // server's one executor. Concurrent multi-query requests must get
+  // exactly the answers of a server that runs them inline.
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(4));
+  ASSERT_TRUE(index.ok());
+  std::vector<KnnRequest> requests;
+  for (uint64_t r = 0; r < 8; ++r) {
+    KnnRequest req;
+    req.request_id = 100 + r;
+    req.k = 5;
+    req.method = core::KnnMethod::kComposed;
+    for (size_t q = 0; q < 3; ++q) {
+      const video::VideoSequence& seq =
+          w.db.videos[(r * 3 + q) % w.db.num_videos()];
+      req.queries.push_back(core::BatchQuery{
+          QuerySummary(seq), static_cast<uint32_t>(seq.num_frames())});
+    }
+    req.dimension = static_cast<uint32_t>(
+        req.queries.front().vitris.front().dimension());
+    requests.push_back(std::move(req));
+  }
+
+  std::vector<std::vector<KnnResponse>> answers;
+  for (const size_t knn_threads : {size_t{1}, size_t{4}}) {
+    ServerOptions opts;
+    opts.unix_socket_path = dir.socket_path();
+    opts.num_workers = 4;
+    opts.knn_threads = knn_threads;
+    Server server(&*index, opts);
+    ASSERT_TRUE(server.Start().ok());
+    answers.push_back(SendConcurrently(dir.socket_path(), requests));
+    EXPECT_TRUE(server.Shutdown().ok());
+  }
+  const std::vector<KnnResponse>& inline_answers = answers[0];
+  const std::vector<KnnResponse>& pooled = answers[1];
+  ASSERT_EQ(pooled.size(), inline_answers.size());
+  for (size_t r = 0; r < pooled.size(); ++r) {
+    EXPECT_EQ(pooled[r].head.status, WireStatus::kOk) << pooled[r].error;
+    EXPECT_EQ(pooled[r].head.request_id, requests[r].request_id);
+    ASSERT_EQ(pooled[r].results.size(), 3u) << "request " << r;
+    ASSERT_EQ(pooled[r].results.size(), inline_answers[r].results.size());
+    for (size_t q = 0; q < pooled[r].results.size(); ++q) {
+      const std::vector<core::VideoMatch>& want = inline_answers[r].results[q];
+      const std::vector<core::VideoMatch>& got = pooled[r].results[q];
+      ASSERT_EQ(got.size(), want.size()) << "request " << r << " query " << q;
+      EXPECT_FALSE(got.empty());
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].video_id, want[i].video_id);
+        EXPECT_EQ(got[i].similarity, want[i].similarity);
+      }
+    }
+  }
 }
 
 /// Deep equality of two parsed JSON values.

@@ -9,6 +9,7 @@
 // index that a second `serve --dir` and `vitri recover` (VITRI_CLI_PATH)
 // read back.
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -51,6 +52,34 @@ TEST(VitridSmokeTest, HelpDocumentsEverySubcommand) {
                             "--socket", "Overloaded", "deadline"}) {
     EXPECT_NE(out.find(token), std::string::npos) << token << "\n" << out;
   }
+}
+
+TEST(VitridSmokeTest, ServeRejectsOutOfRangeCountFlags) {
+  // A negative count would wrap to a huge size_t and size the server's
+  // threads or queue with it; serve must refuse it as a usage error
+  // before it builds or starts anything.
+  char tmpl[] = "/tmp/vitrid_badflags_XXXXXX";
+  ASSERT_NE(mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  const std::string socket = dir + "/vitrid.sock";
+  for (const char* flags :
+       {"--knn-threads -1", "--workers -1", "--queue -1",
+        "--knn-threads 1025"}) {
+    int rc = -1;
+    const std::string out = RunAndCapture(
+        std::string(VITRID_PATH) + " serve --synthetic --socket " + socket +
+            " " + flags + " 2>&1",
+        &rc);
+    EXPECT_NE(rc, 0) << flags << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(rc), 2) << flags << "\n" << out;
+    const std::string flag(flags, std::string(flags).find(' '));
+    EXPECT_NE(out.find(flag + " must be in [0, 1024]"), std::string::npos)
+        << out;
+    EXPECT_EQ(out.find("listening"), std::string::npos) << out;
+    EXPECT_NE(access(socket.c_str(), F_OK), 0) << flags;
+  }
+  [[maybe_unused]] int ignored =
+      std::system(("rm -rf " + dir).c_str());  // NOLINT(concurrency-mt-unsafe)
 }
 
 TEST(VitridSmokeTest, StatsSubcommandReportsWalAndQueryMetrics) {

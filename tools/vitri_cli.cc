@@ -44,6 +44,7 @@
 #include "btree/bplus_tree.h"
 #include "common/json.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "core/ground_truth.h"
 #include "core/query_trace.h"
 #include "linalg/kernels.h"
@@ -194,7 +195,9 @@ int ExerciseMetrics(std::optional<core::ShardedViTriIndex>* out) {
     batch.push_back(core::BatchQuery{
         std::move(*summary), static_cast<uint32_t>(dup.num_frames())});
   }
-  auto batched = index->BatchKnn(batch, 10, core::KnnMethod::kComposed, 2);
+  ThreadPool pool(2);
+  auto batched =
+      index->BatchKnn(batch, 10, core::KnnMethod::kComposed, &pool);
   if (!batched.ok()) return Fail(batched.status());
   out->emplace(std::move(*index));
   return 0;
@@ -354,8 +357,14 @@ int CmdQuery(const Args& args) {
                 index->num_shards(), index->live_shards(),
                 core::ShardAssignmentName(index->assignment()));
   }
-  auto batch_results = index->BatchKnn(batch, k, method, threads, &costs,
-                                       traced ? &traces : nullptr);
+  // The query is one batch of num_shards() tasks; more threads than
+  // that would only idle.
+  const size_t workers = std::min(threads, index->num_shards());
+  std::optional<ThreadPool> pool;
+  if (workers > 1) pool.emplace(workers);
+  auto batch_results =
+      index->BatchKnn(batch, k, method, pool ? &*pool : nullptr, &costs,
+                      traced ? &traces : nullptr);
   if (!batch_results.ok()) return Fail(batch_results.status());
   const std::vector<core::VideoMatch>& results = (*batch_results)[0];
 

@@ -104,7 +104,9 @@ void Usage() {
       "--dir with a build source makes the index durable there (one WAL\n"
       "per shard); --dir alone recovers it with the shard count its\n"
       "manifest records. --index-shards (else VITRI_INDEX_SHARDS, else\n"
-      "1) sets the shard count of a built index.\n"
+      "1) sets the shard count of a built index. --queue, --workers and\n"
+      "--knn-threads take 0..1024; --knn-threads N > 1 runs every\n"
+      "request's (query, shard) tasks on one shared N-thread executor.\n"
       "stats prints the server's JSON stats document to stdout.\n");
 }
 
@@ -168,15 +170,31 @@ Status Exercise(core::ShardedViTriIndex* index) {
   return Status::OK();
 }
 
-serving::ServerOptions ServerOptionsFromFlags(const Args& args,
-                                              const char* socket_path,
-                                              long port) {
+/// Cap of the count flags that size the server (--queue, --workers,
+/// --knn-threads): Start() reserves or spawns that many slots or
+/// threads, so a negative value must not wrap to a huge size_t.
+constexpr long kMaxCountFlag = 1024;
+
+/// Reads a count flag; outside [0, kMaxCountFlag] it is InvalidArgument.
+Result<size_t> GetCount(const Args& args, const char* name, long fallback) {
+  const long value = args.GetLong(name, fallback);
+  if (value < 0 || value > kMaxCountFlag) {
+    return Status::InvalidArgument(std::string(name) + " must be in [0, " +
+                                   std::to_string(kMaxCountFlag) + "], got " +
+                                   args.Get(name, ""));
+  }
+  return static_cast<size_t>(value);
+}
+
+Result<serving::ServerOptions> ServerOptionsFromFlags(const Args& args,
+                                                      const char* socket_path,
+                                                      long port) {
   serving::ServerOptions so;
   if (socket_path != nullptr) so.unix_socket_path = socket_path;
   if (port >= 0) so.tcp_port = static_cast<int>(port);
-  so.queue_capacity = static_cast<size_t>(args.GetLong("--queue", 256));
-  so.num_workers = static_cast<size_t>(args.GetLong("--workers", 4));
-  so.knn_threads = static_cast<size_t>(args.GetLong("--knn-threads", 1));
+  VITRI_ASSIGN_OR_RETURN(so.queue_capacity, GetCount(args, "--queue", 256));
+  VITRI_ASSIGN_OR_RETURN(so.num_workers, GetCount(args, "--workers", 4));
+  VITRI_ASSIGN_OR_RETURN(so.knn_threads, GetCount(args, "--knn-threads", 1));
   so.trace_every = static_cast<size_t>(args.GetLong("--trace-every", 0));
   so.checkpoint_on_shutdown = !args.Has("--no-checkpoint");
   return so;
@@ -216,6 +234,14 @@ int CmdServe(const Args& args) {
   const long port = args.GetLong("--port", -1);
   if ((socket_path == nullptr) == (port < 0)) {
     std::fprintf(stderr, "serve: exactly one of --socket/--port required\n");
+    return 2;
+  }
+  // Validated before anything is built, so a bad count starts no thread.
+  Result<serving::ServerOptions> server_options =
+      ServerOptionsFromFlags(args, socket_path, port);
+  if (!server_options.ok()) {
+    std::fprintf(stderr, "serve: %s\n",
+                 server_options.status().message().c_str());
     return 2;
   }
   const char* summary = args.Get("--summary", nullptr);
@@ -264,8 +290,7 @@ int CmdServe(const Args& args) {
     const Status st = Exercise(&*index);
     if (!st.ok()) return Fail(st);
   }
-  serving::Server server(&*index,
-                         ServerOptionsFromFlags(args, socket_path, port));
+  serving::Server server(&*index, std::move(*server_options));
   return ServeLoop(&server, socket_path,
                    std::to_string(index->num_videos()) + " videos, " +
                        std::to_string(index->num_shards()) +
