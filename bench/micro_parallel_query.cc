@@ -180,7 +180,8 @@ int main() {
     const double overhead_pct = (traced_ms / untraced_ms - 1.0) * 100.0;
     // Per-query stage-time percentiles come straight from the traces: a
     // query's spans sum its (query, shard) tasks' work. (A trace's total
-    // spans the whole batch, which all of its queries share.)
+    // runs from the batch's start to its own query's end, so it also
+    // counts the wait behind the batch's earlier queries.)
     std::vector<double> latencies_us;
     latencies_us.reserve(traces.size());
     for (const QueryTrace& t : traces) {

@@ -28,15 +28,6 @@ using storage::MemPager;
 
 namespace {
 
-// Adds one candidate's estimated shared (or matching) frames to its
-// video's slot of a dense accumulator.
-void Accumulate(const ViTri& candidate, double estimate,
-                std::vector<double>* acc) {
-  if (estimate > 0.0 && candidate.video_id < acc->size()) {
-    (*acc)[candidate.video_id] += estimate;
-  }
-}
-
 // Full evaluation, shared by the sequential scan and the degraded
 // in-memory path: every candidate against every query ViTri, with the
 // candidate-to-query center distances from one batch-kernel sweep over
@@ -48,14 +39,13 @@ class FullEvaluator {
     for (const ViTri& q : query) qpos_.AppendRow(q.position);
   }
 
-  void Evaluate(const ViTri& candidate, std::vector<double>* shared,
+  void Evaluate(const ViTri& candidate, VideoAccumulator* shared,
                 QueryCosts* costs) {
     linalg::SquaredDistanceBatch(candidate.position, qpos_, d2_);
     for (size_t qi = 0; qi < query_.size(); ++qi) {
       ++costs->similarity_evals;
-      Accumulate(candidate,
-                 EstimatedSharedFrames(query_[qi], candidate, d2_[qi]),
-                 shared);
+      shared->Add(candidate.video_id,
+                  EstimatedSharedFrames(query_[qi], candidate, d2_[qi]));
     }
   }
 
@@ -81,18 +71,16 @@ void KeepTopK(std::vector<VideoMatch>* matches, size_t k) {
 }
 
 std::vector<VideoMatch> RankSharedFrames(
-    const std::vector<double>& shared_by_video,
+    const VideoAccumulator& shared,
     const std::vector<uint32_t>& frame_counts, uint32_t query_frames,
     size_t k) {
   std::vector<VideoMatch> matches;
-  for (uint32_t vid = 0; vid < shared_by_video.size(); ++vid) {
-    if (shared_by_video[vid] <= 0.0) continue;
+  matches.reserve(shared.sums().size());
+  for (const auto& [vid, sum] : shared.sums()) {
     const uint32_t frames = frame_counts[vid];
     if (frames == 0) continue;
     const double sim = std::clamp(
-        2.0 * shared_by_video[vid] /
-            static_cast<double>(query_frames + frames),
-        0.0, 1.0);
+        2.0 * sum / static_cast<double>(query_frames + frames), 0.0, 1.0);
     matches.push_back(VideoMatch{vid, sim});
   }
   KeepTopK(&matches, k);
@@ -261,7 +249,7 @@ std::vector<KeyRange> ViTriIndex::MakeRanges(
 Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
                                const std::vector<KeyRange>& ranges,
                                KnnMethod method,
-                               std::vector<double>* shared,
+                               VideoAccumulator* shared,
                                QueryCosts* costs,
                                QueryTrace* trace) const {
   // One range search: a key range, and the slice [first, last) of
@@ -306,8 +294,8 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
           for (size_t i = scan.first; i < scan.last; ++i) {
             if (key >= ranges[i].lo && key <= ranges[i].hi) {
               ++costs->similarity_evals;
-              Accumulate(candidate, EstimatedSharedFrames(query[i], candidate),
-                         shared);
+              shared->Add(candidate.video_id,
+                          EstimatedSharedFrames(query[i], candidate));
             }
           }
           return true;
@@ -319,12 +307,12 @@ Status ViTriIndex::KnnScanTree(const std::vector<ViTri>& query,
 }
 
 void ViTriIndex::EvaluateInMemory(const std::vector<ViTri>& query,
-                                  std::vector<double>* shared,
+                                  VideoAccumulator* shared,
                                   QueryCosts* costs) const {
   costs->degraded = true;
   costs->candidates = 0;
   costs->similarity_evals = 0;
-  std::fill(shared->begin(), shared->end(), 0.0);
+  shared->Clear();
   FullEvaluator evaluator(query);
   for (const ViTri& candidate : vitris_) {
     ++costs->candidates;
@@ -349,7 +337,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::Knn(
     ranges = MakeRanges(query);
   }
 
-  std::vector<double> shared(frame_counts_.size(), 0.0);
+  VideoAccumulator shared(frame_counts_.size());
   const Status scan =
       KnnScanTree(query, ranges, method, &shared, &local, trace);
   if (scan.IsCorruption()) {
@@ -394,7 +382,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::SequentialScan(
   QueryCosts local;
   local.range_searches = 1;
 
-  std::vector<double> shared(frame_counts_.size(), 0.0);
+  VideoAccumulator shared(frame_counts_.size());
   FullEvaluator evaluator(query);
   ViTri candidate;
   Status scanned = Status::OK();
@@ -450,11 +438,11 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   const double key = transform_->Key(frame);
   const double gamma = epsilon + options_.epsilon / 2.0;
 
-  std::vector<double> matches_by_video(frame_counts_.size(), 0.0);
+  VideoAccumulator matches_by_video(frame_counts_.size());
   auto evaluate = [&](const ViTri& candidate) {
     ++local.similarity_evals;
-    Accumulate(candidate, EstimatedMatchingFrames(frame, epsilon, candidate),
-               &matches_by_video);
+    matches_by_video.Add(candidate.video_id,
+                         EstimatedMatchingFrames(frame, epsilon, candidate));
   };
   ViTri candidate;
   Status scanned = Status::OK();
@@ -475,7 +463,7 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
     local.degraded = true;
     local.candidates = 0;
     local.similarity_evals = 0;
-    std::fill(matches_by_video.begin(), matches_by_video.end(), 0.0);
+    matches_by_video.Clear();
     for (const ViTri& stored : vitris_) {
       ++local.candidates;
       evaluate(stored);
@@ -485,10 +473,9 @@ Result<std::vector<VideoMatch>> ViTriIndex::FrameSearch(
   }
 
   std::vector<VideoMatch> out;
-  for (uint32_t vid = 0; vid < matches_by_video.size(); ++vid) {
-    if (matches_by_video[vid] > 0.0) {
-      out.push_back(VideoMatch{vid, matches_by_video[vid]});
-    }
+  out.reserve(matches_by_video.sums().size());
+  for (const auto& [vid, matches] : matches_by_video.sums()) {
+    out.push_back(VideoMatch{vid, matches});
   }
   KeepTopK(&out, k);
 

@@ -8,6 +8,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "btree/bplus_tree.h"
@@ -161,13 +162,39 @@ void KeepTopK(std::vector<VideoMatch>* matches, size_t k);
 Status DecodeLeafRecord(std::span<const uint8_t> value, int dimension,
                         ViTri* out);
 
-/// Ranks a dense per-video accumulator of estimated shared frames
-/// (indexed by video id) into the top-k matches. Video v scores
-/// 2 * shared[v] / (query_frames + frame_counts[v]), clamped to [0, 1];
-/// videos with no shared frames or no recorded frame count are skipped.
-/// `frame_counts` must cover every id of `shared_by_video`.
+/// One query's per-video sums of estimated shared (or matching) frames,
+/// keyed by video id. Only positive estimates are kept, so its memory
+/// and its walk are proportional to the videos the query touched, not
+/// to the id space: a scan that tests thousands of candidates but finds
+/// a few dozen similar videos holds a few dozen entries. Each video's
+/// estimates are summed in the order they are added (scan order), so
+/// the sums equal those of a dense per-id array bit for bit.
+class VideoAccumulator {
+ public:
+  /// Ids at or past `id_limit` (the size of the index's frame-count
+  /// table) are dropped: they have no frame count to be ranked by.
+  explicit VideoAccumulator(size_t id_limit) : id_limit_(id_limit) {}
+
+  void Add(uint32_t video_id, double estimate) {
+    if (estimate > 0.0 && video_id < id_limit_) sums_[video_id] += estimate;
+  }
+  /// Forgets every sum (a degraded query restarts its evaluation).
+  void Clear() { sums_.clear(); }
+
+  /// Video id -> summed estimate, in no particular order.
+  const std::unordered_map<uint32_t, double>& sums() const { return sums_; }
+
+ private:
+  size_t id_limit_;
+  std::unordered_map<uint32_t, double> sums_;
+};
+
+/// Ranks a query's estimated shared frames into the top-k matches.
+/// Video v scores 2 * shared[v] / (query_frames + frame_counts[v]),
+/// clamped to [0, 1]; videos with no recorded frame count are skipped.
+/// `shared`'s id limit must not exceed `frame_counts.size()`.
 std::vector<VideoMatch> RankSharedFrames(
-    const std::vector<double>& shared_by_video,
+    const VideoAccumulator& shared,
     const std::vector<uint32_t>& frame_counts, uint32_t query_frames,
     size_t k);
 
@@ -457,7 +484,7 @@ class ViTriIndex {
   /// Read-only; safe to run from concurrent Knn callers.
   Status KnnScanTree(const std::vector<ViTri>& query,
                      const std::vector<KeyRange>& ranges, KnnMethod method,
-                     std::vector<double>* shared, QueryCosts* costs,
+                     VideoAccumulator* shared, QueryCosts* costs,
                      QueryTrace* trace) const VITRI_REQUIRES_SHARED(*latch_);
 
   /// Degraded path: discards what a failed tree scan accumulated into
@@ -465,7 +492,7 @@ class ViTriIndex {
   /// evaluates every in-memory ViTri against every query ViTri (exactly
   /// what a full sequential scan computes, minus the broken pages).
   void EvaluateInMemory(const std::vector<ViTri>& query,
-                        std::vector<double>* shared,
+                        VideoAccumulator* shared,
                         QueryCosts* costs) const
       VITRI_REQUIRES_SHARED(*latch_);
 

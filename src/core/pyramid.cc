@@ -189,7 +189,7 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
     intervals.insert(intervals.end(), own.begin(), own.end());
   }
 
-  std::vector<double> shared(frame_counts_.size(), 0.0);
+  VideoAccumulator shared(frame_counts_.size());
   ViTri candidate;
   Status decoded = Status::OK();
   for (const KeyRange& iv : ComposeKeyRanges(std::move(intervals))) {
@@ -203,10 +203,7 @@ Result<std::vector<VideoMatch>> PyramidIndex::Knn(
           if (!decoded.ok()) return false;
           for (const ViTri& q : query) {
             ++local.similarity_evals;
-            const double est = EstimatedSharedFrames(q, candidate);
-            if (est > 0.0 && candidate.video_id < shared.size()) {
-              shared[candidate.video_id] += est;
-            }
+            shared.Add(candidate.video_id, EstimatedSharedFrames(q, candidate));
           }
           return true;
         });

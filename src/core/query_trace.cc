@@ -1,5 +1,6 @@
 #include "core/query_trace.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/json.h"
@@ -29,6 +30,7 @@ void QueryTrace::AppendShard(const QueryTrace& other, uint32_t shard) {
     span.start_seconds += offset;
     spans_.push_back(span);
   }
+  total_seconds_ = std::max(total_seconds_, offset + other.total_seconds_);
 }
 
 double QueryTrace::SpanSeconds() const {

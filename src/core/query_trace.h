@@ -58,8 +58,11 @@ class QueryTrace {
   /// untraced glue between stages).
   double SpanSeconds() const;
   /// Appends `other`'s spans tagged with `shard`, their start offsets
-  /// moved onto this trace's epoch. The sharded index assembles one
-  /// query's trace from its per-shard traces this way.
+  /// moved onto this trace's epoch, and extends total_seconds() to
+  /// `other`'s end if that is later. The sharded index assembles one
+  /// query's trace from its per-shard traces this way, so the query's
+  /// total ends when its last shard finished, however many other
+  /// queries shared the batch.
   void AppendShard(const QueryTrace& other, uint32_t shard);
   /// Sum of the spans' I/O deltas.
   storage::IoSnapshot TotalIo() const;

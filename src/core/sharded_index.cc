@@ -448,8 +448,10 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
   QueryCosts total;
   std::vector<QueryCosts> per_shard(num_shards_);
   if (traces != nullptr) {
-    traces->assign(n, QueryTrace());
-    for (QueryTrace& trace : *traces) trace.Begin();
+    // One epoch, the call's start, for every query's trace.
+    QueryTrace started;
+    started.Begin();
+    traces->assign(n, started);
   }
   {
     ReaderLock lock(*latch_);
@@ -520,15 +522,13 @@ Result<std::vector<std::vector<VideoMatch>>> ShardedViTriIndex::BatchKnn(
       // (similarity, id) order, so results are identical to sequential
       // per-query Knn regardless of task scheduling.
       for (size_t q = 0; q < n; ++q) out[q] = MergeTopK(scattered[q], k);
-      // Tasks run query-major, so each query's spans land in shard order.
+      // Tasks run query-major, so each query's spans land in shard order;
+      // each query's total ends with its own last shard, not the batch.
       for (size_t t = 0; t < task_traces.size(); ++t) {
         (*traces)[t / live.size()].AppendShard(task_traces[t],
                                                live_ids[t % live.size()]);
       }
     }
-  }
-  if (traces != nullptr) {
-    for (QueryTrace& trace : *traces) trace.End();
   }
   total.cpu_seconds = watch.ElapsedSeconds();
   if (costs != nullptr) *costs = total;

@@ -196,7 +196,9 @@ class ShardedViTriIndex {
   /// shard i's tasks the same way (cpu_seconds: their summed Knn time).
   /// `traces`, if given, is resized to queries.size(); each task traces
   /// its shard's Knn, and trace q holds every live shard's spans in
-  /// shard order, each tagged with its shard.
+  /// shard order, each tagged with its shard. Trace q's total runs from
+  /// the call's start to the end of query q's last shard task, so in a
+  /// multi-query batch it is that query's latency, not the batch's.
   Result<std::vector<std::vector<VideoMatch>>> BatchKnn(
       const std::vector<BatchQuery>& queries, size_t k, KnnMethod method,
       ThreadPool* executor, QueryCosts* costs = nullptr,

@@ -79,8 +79,8 @@ Status Server::Start() {
     CloseFd(&listen_fd_);
     return Status::IoError("pipe: " + ErrnoString(errno));
   }
-  if (options_.knn_threads > 1) {
-    knn_pool_ = std::make_unique<ThreadPool>(options_.knn_threads);
+  if (KnnExecutorThreads() > 0) {
+    knn_pool_ = std::make_unique<ThreadPool>(KnnExecutorThreads());
   }
   const size_t num_workers =
       options_.num_workers == 0 ? 1 : options_.num_workers;
@@ -466,6 +466,8 @@ std::string Server::BuildStatsJson() {
   w.Uint(queue_.capacity());
   w.Key("workers");
   w.Uint(options_.num_workers == 0 ? 1 : options_.num_workers);
+  w.Key("knn_threads");
+  w.Uint(KnnExecutorThreads());
   w.Key("connections");
   w.Uint(accepted_conns_.load(std::memory_order_relaxed));
   w.Key("admitted");

@@ -13,13 +13,10 @@
 
 #include "common/annotated_lock.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/index.h"
 #include "serving/bounded_queue.h"
 #include "serving/protocol.h"
-
-namespace vitri {
-class ThreadPool;
-}  // namespace vitri
 
 namespace vitri::core {
 class ShardedViTriIndex;
@@ -42,10 +39,12 @@ struct ServerOptions {
   size_t num_workers = 4;
   /// Intra-request parallelism: the size of the one executor every
   /// request's (query, shard) tasks share, built by Start() and joined
-  /// by Shutdown(). 0 or 1 builds none and runs each request's tasks
-  /// inline on its worker; the request-level workers above are then the
-  /// only concurrency axis.
-  size_t knn_threads = 1;
+  /// by Shutdown(). Defaults to the machine's hardware threads, so a
+  /// query's shards are scanned in parallel; stats report the size
+  /// actually built as server.knn_threads. 0 or 1 builds none and runs
+  /// each request's tasks inline on its worker; the request-level
+  /// workers above are then the only concurrency axis.
+  size_t knn_threads = ThreadPool::HardwareThreads();
   /// Record a per-stage QueryTrace for every Nth Knn request (0 = off)
   /// and keep the most recent `max_traces` of them for the stats reply.
   size_t trace_every = 0;
@@ -184,6 +183,11 @@ class Server {
     if (options_.stage_hook) options_.stage_hook(point);
   }
 
+  /// The size of the knn executor Start() builds; 0 = none (inline).
+  size_t KnnExecutorThreads() const {
+    return options_.knn_threads > 1 ? options_.knn_threads : 0;
+  }
+
   core::ShardedViTriIndex* const sharded_;
   ServerOptions options_;
 
@@ -193,7 +197,8 @@ class Server {
   int wake_pipe_[2] = {-1, -1};
   std::thread listener_;
   std::vector<std::thread> workers_;
-  /// The knn executor (null when knn_threads <= 1); see knn_threads.
+  /// The knn executor (null when KnnExecutorThreads() is 0); see
+  /// knn_threads.
   std::unique_ptr<ThreadPool> knn_pool_;
 
   BoundedQueue<WorkItem> queue_;

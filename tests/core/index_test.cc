@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "core/vitri_builder.h"
 #include "video/synthesizer.h"
 
@@ -47,6 +52,89 @@ std::vector<ViTri> QuerySummary(const video::VideoSequence& seq,
   auto result = builder.Build(seq);
   EXPECT_TRUE(result.ok());
   return *result;
+}
+
+/// The dense rank the sparse accumulator replaced: one slot per id of
+/// the frame-count table, zero-filled, and a walk over every slot.
+std::vector<VideoMatch> DenseRank(const std::vector<double>& shared,
+                                  const std::vector<uint32_t>& frame_counts,
+                                  uint32_t query_frames, size_t k) {
+  std::vector<VideoMatch> matches;
+  for (uint32_t vid = 0; vid < shared.size(); ++vid) {
+    if (shared[vid] <= 0.0 || frame_counts[vid] == 0) continue;
+    const double sim = std::clamp(
+        2.0 * shared[vid] /
+            static_cast<double>(query_frames + frame_counts[vid]),
+        0.0, 1.0);
+    matches.push_back(VideoMatch{vid, sim});
+  }
+  KeepTopK(&matches, k);
+  return matches;
+}
+
+TEST(VideoAccumulatorTest, RanksExactlyLikeADenseAccumulator) {
+  // 40 videos; every fifth has no frames. Ids 40..47 lie past the table.
+  std::vector<uint32_t> frame_counts(40);
+  for (uint32_t vid = 0; vid < frame_counts.size(); ++vid) {
+    frame_counts[vid] = vid % 5 == 0 ? 0 : 10 + (vid % 3) * 5;
+  }
+  // The stream: hand-placed ties (videos 1 and 16 have the same frame
+  // count and receive the same estimates), then random pairs whose
+  // estimates include zeros and negatives, with a degraded-path reset
+  // halfway through.
+  std::vector<std::pair<uint32_t, double>> stream = {
+      {16, 2.5}, {1, 2.5}, {16, 0.25}, {1, 0.25}, {45, 3.0}, {5, 4.0}};
+  Rng rng(17);
+  const double estimates[] = {0.0, -1.0, 0.125, 0.5, 1.0, 1.0 / 3.0};
+  for (int i = 0; i < 2000; ++i) {
+    const auto vid = static_cast<uint32_t>(rng.UniformU64(48));
+    const double est = rng.UniformU64(4) == 0
+                           ? rng.Uniform(0.0, 2.0)
+                           : estimates[rng.UniformU64(std::size(estimates))];
+    stream.emplace_back(vid, est);
+  }
+  const size_t reset_at = stream.size() / 2;
+
+  VideoAccumulator sparse(frame_counts.size());
+  std::vector<double> dense(frame_counts.size(), 0.0);
+  for (size_t i = 0; i < stream.size(); ++i) {
+    if (i == reset_at) {
+      sparse.Clear();
+      std::fill(dense.begin(), dense.end(), 0.0);
+    }
+    const auto [vid, est] = stream[i];
+    sparse.Add(vid, est);
+    if (est > 0.0 && vid < dense.size()) dense[vid] += est;
+  }
+  // Only videos with a positive sum are held, never ids past the table.
+  for (const auto& [vid, sum] : sparse.sums()) {
+    ASSERT_LT(vid, frame_counts.size());
+    EXPECT_GT(sum, 0.0);
+  }
+
+  for (const size_t k : {size_t{1}, size_t{5}, size_t{17}, size_t{100}}) {
+    const std::vector<VideoMatch> want = DenseRank(dense, frame_counts, 30, k);
+    const std::vector<VideoMatch> got =
+        RankSharedFrames(sparse, frame_counts, 30, k);
+    ASSERT_EQ(got.size(), want.size()) << "k " << k;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].video_id, want[i].video_id) << "k " << k;
+      EXPECT_EQ(std::memcmp(&got[i].similarity, &want[i].similarity,
+                            sizeof(double)),
+                0)
+          << "k " << k << " rank " << i;
+    }
+  }
+
+  // Before the reset the hand-placed tie ranks 1 before 16.
+  VideoAccumulator tied(frame_counts.size());
+  for (size_t i = 0; i < 4; ++i) tied.Add(stream[i].first, stream[i].second);
+  const std::vector<VideoMatch> pair =
+      RankSharedFrames(tied, frame_counts, 30, 2);
+  ASSERT_EQ(pair.size(), 2u);
+  EXPECT_EQ(pair[0].similarity, pair[1].similarity);
+  EXPECT_EQ(pair[0].video_id, 1u);
+  EXPECT_EQ(pair[1].video_id, 16u);
 }
 
 TEST(ViTriIndexTest, LeafRecordThatDoesNotDecodeIsCorruption) {

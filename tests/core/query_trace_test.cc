@@ -265,6 +265,43 @@ TEST(QueryTraceTest, BatchKnnFillsOneTracePerQuery) {
   }
 }
 
+TEST(QueryTraceTest, BatchTraceTotalsEndWithTheirOwnQuery) {
+  // Eight copies of one query on a one-thread executor run their tasks
+  // one after another, query-major: query q's last task ends before
+  // query q + 1's first task starts. Each trace's total must end with
+  // its own query's last task, not at the end of the whole batch.
+  TraceWorld w = MakeTraceWorld(1);
+  ShardedIndexOptions options;
+  options.num_shards = 4;
+  options.shard_options.dimension = w.db.dimension;
+  auto index = ShardedViTriIndex::Build(w.set, options);
+  ASSERT_TRUE(index.ok());
+
+  const std::vector<BatchQuery> queries(8, w.queries[0]);
+  ThreadPool pool(1);
+  std::vector<QueryTrace> traces;
+  auto batch = index->BatchKnn(queries, 10, KnnMethod::kComposed, &pool,
+                               nullptr, &traces);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(traces.size(), queries.size());
+  for (size_t q = 0; q < traces.size(); ++q) {
+    ASSERT_FALSE(traces[q].spans().empty());
+    // The total covers every span of the query it traces...
+    for (const TraceSpan& span : traces[q].spans()) {
+      EXPECT_LE(span.start_seconds + span.duration_seconds,
+                traces[q].total_seconds())
+          << "query " << q;
+    }
+    // ...and ends before the next query's first span starts (all the
+    // batch's traces share the call's start as their epoch).
+    if (q + 1 < traces.size()) {
+      EXPECT_LE(traces[q].total_seconds(),
+                traces[q + 1].spans().front().start_seconds)
+          << "query " << q;
+    }
+  }
+}
+
 TEST(QueryTraceTest, ToJsonRoundTripsThroughTheParser) {
   TraceWorld w = MakeTraceWorld(1);
   ViTriIndexOptions io;

@@ -13,9 +13,10 @@
 //     acked inside a group-commit window survive;
 //   * sampled tracing — trace_every records per-shard spans into the
 //     stats document, for requests with a deadline too;
-//   * the shared knn executor — with knn_threads > 1 every worker's
-//     (query, shard) tasks run on one pool, and the answers are those of
-//     inline execution.
+//   * the shared knn executor — with knn_threads > 1 (the default on any
+//     multi-core machine) every worker's (query, shard) tasks run on one
+//     pool, the answers are those of inline execution, and stats report
+//     the pool's size.
 //
 // Determinism comes from ServerOptions::stage_hook: a Gate parks worker
 // threads at a named point ("worker.dequeue" / "worker.execute") so tests
@@ -35,11 +36,13 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/thread_pool.h"
 #include "core/sharded_index.h"
 #include "core/vitri_builder.h"
 #include "serving/client.h"
@@ -568,15 +571,8 @@ std::vector<KnnResponse> SendConcurrently(const std::string& socket,
   return responses;
 }
 
-TEST(ServingLifecycleTest, SharedKnnExecutorAnswersLikeInlineWorkers) {
-  // knn_threads = 4: every worker's (query, shard) tasks share the
-  // server's one executor. Concurrent multi-query requests must get
-  // exactly the answers of a server that runs them inline.
-  ScopedDir dir;
-  ASSERT_TRUE(dir.ok());
-  World w = MakeWorld();
-  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(4));
-  ASSERT_TRUE(index.ok());
+/// Eight concurrent 3-query requests over `w`'s videos.
+std::vector<KnnRequest> ThreeQueryRequests(const World& w) {
   std::vector<KnnRequest> requests;
   for (uint64_t r = 0; r < 8; ++r) {
     KnnRequest req;
@@ -593,36 +589,115 @@ TEST(ServingLifecycleTest, SharedKnnExecutorAnswersLikeInlineWorkers) {
         req.queries.front().vitris.front().dimension());
     requests.push_back(std::move(req));
   }
+  return requests;
+}
 
-  std::vector<std::vector<KnnResponse>> answers;
-  for (const size_t knn_threads : {size_t{1}, size_t{4}}) {
-    ServerOptions opts;
-    opts.unix_socket_path = dir.socket_path();
-    opts.num_workers = 4;
-    opts.knn_threads = knn_threads;
-    Server server(&*index, opts);
-    ASSERT_TRUE(server.Start().ok());
-    answers.push_back(SendConcurrently(dir.socket_path(), requests));
-    EXPECT_TRUE(server.Shutdown().ok());
-  }
-  const std::vector<KnnResponse>& inline_answers = answers[0];
-  const std::vector<KnnResponse>& pooled = answers[1];
-  ASSERT_EQ(pooled.size(), inline_answers.size());
-  for (size_t r = 0; r < pooled.size(); ++r) {
-    EXPECT_EQ(pooled[r].head.status, WireStatus::kOk) << pooled[r].error;
-    EXPECT_EQ(pooled[r].head.request_id, requests[r].request_id);
-    ASSERT_EQ(pooled[r].results.size(), 3u) << "request " << r;
-    ASSERT_EQ(pooled[r].results.size(), inline_answers[r].results.size());
-    for (size_t q = 0; q < pooled[r].results.size(); ++q) {
-      const std::vector<core::VideoMatch>& want = inline_answers[r].results[q];
-      const std::vector<core::VideoMatch>& got = pooled[r].results[q];
-      ASSERT_EQ(got.size(), want.size()) << "request " << r << " query " << q;
-      EXPECT_FALSE(got.empty());
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got[i].video_id, want[i].video_id);
-        EXPECT_EQ(got[i].similarity, want[i].similarity);
+/// Starts a server with `opts` on `index`, sends `requests` concurrently
+/// and returns the answers after a clean shutdown.
+std::vector<KnnResponse> ServeRequests(
+    core::ShardedViTriIndex* index, const ServerOptions& opts,
+    const std::vector<KnnRequest>& requests) {
+  Server server(index, opts);
+  EXPECT_TRUE(server.Start().ok());
+  std::vector<KnnResponse> answers =
+      SendConcurrently(opts.unix_socket_path, requests);
+  EXPECT_TRUE(server.Shutdown().ok());
+  return answers;
+}
+
+/// `got` answers every request exactly as `want` does: ids and
+/// similarities bit for bit.
+void ExpectSameAnswers(const std::vector<KnnResponse>& want,
+                       const std::vector<KnnResponse>& got,
+                       const std::vector<KnnRequest>& requests) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t r = 0; r < got.size(); ++r) {
+    EXPECT_EQ(got[r].head.status, WireStatus::kOk) << got[r].error;
+    EXPECT_EQ(got[r].head.request_id, requests[r].request_id);
+    ASSERT_EQ(got[r].results.size(), requests[r].queries.size())
+        << "request " << r;
+    ASSERT_EQ(got[r].results.size(), want[r].results.size());
+    for (size_t q = 0; q < got[r].results.size(); ++q) {
+      const std::vector<core::VideoMatch>& expected = want[r].results[q];
+      const std::vector<core::VideoMatch>& actual = got[r].results[q];
+      ASSERT_EQ(actual.size(), expected.size())
+          << "request " << r << " query " << q;
+      EXPECT_FALSE(actual.empty());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(actual[i].video_id, expected[i].video_id);
+        EXPECT_EQ(actual[i].similarity, expected[i].similarity);
       }
     }
+  }
+}
+
+TEST(ServingLifecycleTest, SharedKnnExecutorAnswersLikeInlineWorkers) {
+  // knn_threads = 4: every worker's (query, shard) tasks share the
+  // server's one executor. Concurrent multi-query requests must get
+  // exactly the answers of a server that runs them inline.
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(4));
+  ASSERT_TRUE(index.ok());
+  const std::vector<KnnRequest> requests = ThreeQueryRequests(w);
+
+  ServerOptions opts;
+  opts.unix_socket_path = dir.socket_path();
+  opts.num_workers = 4;
+  opts.knn_threads = 1;
+  const std::vector<KnnResponse> inline_answers =
+      ServeRequests(&*index, opts, requests);
+  opts.knn_threads = 4;
+  ExpectSameAnswers(inline_answers, ServeRequests(&*index, opts, requests),
+                    requests);
+}
+
+TEST(ServingLifecycleTest, DefaultOptionsAnswerLikeInline) {
+  // The default executor (one thread per hardware thread) must not
+  // change a single answer against inline execution.
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(4));
+  ASSERT_TRUE(index.ok());
+  const std::vector<KnnRequest> requests = ThreeQueryRequests(w);
+
+  ServerOptions defaults;
+  defaults.unix_socket_path = dir.socket_path();
+  EXPECT_EQ(defaults.knn_threads, ThreadPool::HardwareThreads());
+  ServerOptions inline_opts = defaults;
+  inline_opts.knn_threads = 1;
+  ExpectSameAnswers(ServeRequests(&*index, inline_opts, requests),
+                    ServeRequests(&*index, defaults, requests), requests);
+}
+
+TEST(ServingLifecycleTest, StatsReportTheKnnExecutorSize) {
+  // server.knn_threads is the size of the executor Start() built: 0 when
+  // tasks run inline (knn_threads 0 or 1).
+  ScopedDir dir;
+  ASSERT_TRUE(dir.ok());
+  World w = MakeWorld();
+  auto index = core::ShardedViTriIndex::Build(w.set, DefaultOptions(2));
+  ASSERT_TRUE(index.ok());
+  const size_t hardware = ThreadPool::HardwareThreads();
+  const std::vector<std::pair<size_t, size_t>> cases = {
+      {0, 0}, {1, 0}, {3, 3}, {hardware, hardware > 1 ? hardware : 0}};
+  for (const auto& [configured, built] : cases) {
+    ServerOptions opts;
+    opts.unix_socket_path = dir.socket_path();
+    opts.knn_threads = configured;
+    Server server(&*index, opts);
+    ASSERT_TRUE(server.Start().ok());
+    auto stats = json::ParseJson(server.BuildStatsJson());
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const json::JsonValue* srv = stats->Find("server");
+    ASSERT_NE(srv, nullptr);
+    const json::JsonValue* knn_threads = srv->Find("knn_threads");
+    ASSERT_NE(knn_threads, nullptr) << "knn_threads " << configured;
+    EXPECT_EQ(knn_threads->number, static_cast<double>(built))
+        << "knn_threads " << configured;
+    EXPECT_TRUE(server.Shutdown().ok());
   }
 }
 

@@ -64,7 +64,7 @@ TEST(VitridSmokeTest, ServeRejectsOutOfRangeCountFlags) {
   const std::string socket = dir + "/vitrid.sock";
   for (const char* flags :
        {"--knn-threads -1", "--workers -1", "--queue -1",
-        "--knn-threads 1025"}) {
+        "--knn-threads 1025", "--trace-every -1"}) {
     int rc = -1;
     const std::string out = RunAndCapture(
         std::string(VITRID_PATH) + " serve --synthetic --socket " + socket +

@@ -6,7 +6,7 @@
 //                   (--synthetic [--scale S] | --summary summary.vsnp |
 //                    --dir index_dir)
 //                   [--dir index_dir] [--epsilon 0.15] [--queue 256]
-//                   [--workers 4] [--knn-threads 1] [--trace-every 0]
+//                   [--workers 4] [--knn-threads N] [--trace-every 0]
 //                   [--exercise] [--no-checkpoint] [--index-shards N]
 //                   [--pool-shards N] [--readahead PAGES]
 //                   [--prefetch-threads N]
@@ -104,9 +104,10 @@ void Usage() {
       "--dir with a build source makes the index durable there (one WAL\n"
       "per shard); --dir alone recovers it with the shard count its\n"
       "manifest records. --index-shards (else VITRI_INDEX_SHARDS, else\n"
-      "1) sets the shard count of a built index. --queue, --workers and\n"
-      "--knn-threads take 0..1024; --knn-threads N > 1 runs every\n"
-      "request's (query, shard) tasks on one shared N-thread executor.\n"
+      "1) sets the shard count of a built index. --queue, --workers,\n"
+      "--knn-threads and --trace-every take 0..1024. Every request's\n"
+      "(query, shard) tasks run on one shared --knn-threads executor\n"
+      "(default: the hardware threads; 0 or 1 runs them inline).\n"
       "stats prints the server's JSON stats document to stdout.\n");
 }
 
@@ -170,18 +171,24 @@ Status Exercise(core::ShardedViTriIndex* index) {
   return Status::OK();
 }
 
-/// Cap of the count flags that size the server (--queue, --workers,
-/// --knn-threads): Start() reserves or spawns that many slots or
+/// Cap of the server's count flags (--queue, --workers, --knn-threads,
+/// --trace-every): Start() reserves or spawns that many slots or
 /// threads, so a negative value must not wrap to a huge size_t.
 constexpr long kMaxCountFlag = 1024;
 
-/// Reads a count flag; outside [0, kMaxCountFlag] it is InvalidArgument.
-Result<size_t> GetCount(const Args& args, const char* name, long fallback) {
-  const long value = args.GetLong(name, fallback);
+/// Reads a count flag; a given value outside [0, kMaxCountFlag] is
+/// InvalidArgument. Without the flag it is `fallback`, the
+/// ServerOptions default.
+Result<size_t> GetCount(const Args& args, const char* name, size_t fallback) {
+  // Only a given value is range-checked: the default may be the
+  // machine's hardware threads.
+  const char* given = args.Get(name, nullptr);
+  if (given == nullptr) return fallback;
+  const long value = std::atol(given);
   if (value < 0 || value > kMaxCountFlag) {
     return Status::InvalidArgument(std::string(name) + " must be in [0, " +
                                    std::to_string(kMaxCountFlag) + "], got " +
-                                   args.Get(name, ""));
+                                   given);
   }
   return static_cast<size_t>(value);
 }
@@ -192,10 +199,14 @@ Result<serving::ServerOptions> ServerOptionsFromFlags(const Args& args,
   serving::ServerOptions so;
   if (socket_path != nullptr) so.unix_socket_path = socket_path;
   if (port >= 0) so.tcp_port = static_cast<int>(port);
-  VITRI_ASSIGN_OR_RETURN(so.queue_capacity, GetCount(args, "--queue", 256));
-  VITRI_ASSIGN_OR_RETURN(so.num_workers, GetCount(args, "--workers", 4));
-  VITRI_ASSIGN_OR_RETURN(so.knn_threads, GetCount(args, "--knn-threads", 1));
-  so.trace_every = static_cast<size_t>(args.GetLong("--trace-every", 0));
+  VITRI_ASSIGN_OR_RETURN(so.queue_capacity,
+                         GetCount(args, "--queue", so.queue_capacity));
+  VITRI_ASSIGN_OR_RETURN(so.num_workers,
+                         GetCount(args, "--workers", so.num_workers));
+  VITRI_ASSIGN_OR_RETURN(so.knn_threads,
+                         GetCount(args, "--knn-threads", so.knn_threads));
+  VITRI_ASSIGN_OR_RETURN(so.trace_every,
+                         GetCount(args, "--trace-every", so.trace_every));
   so.checkpoint_on_shutdown = !args.Has("--no-checkpoint");
   return so;
 }
